@@ -1,28 +1,17 @@
 #!/usr/bin/env python
 """Microbenchmark for result assembly and the device-side result cache.
 
-Measures the two layers landed by the sub-linear assembly work:
+Measures two layers:
 
-* ``assembler`` — the partitioned grid + merge-tree
-  :class:`~repro.core.assembly.SkylineAssembler` against both
-  references, fed identical per-device skyline partials
-  (anti-correlated, d=4, >= 5k accumulated rows):
-
-  - ``legacy`` rebuilds the whole running skyline on every merge (the
-    linear accumulate-and-merge the paper's originator performs — every
-    incoming row is compared against the entire running result). This
-    is the baseline the headline ``speedup_vs_legacy`` gate holds >= 3x.
-  - ``incremental`` keeps running arrays and already avoids the
-    rebuild; ``speedup_vs_incremental`` is a parity guard (the grid's
-    pruning is workload-dependent — on anti-correlated batches most
-    cells stay candidates — so partitioned must stay within 3x, not
-    necessarily ahead).
-
-  Every mode is asserted bit-identical before timing.
-
-* ``merge_tree`` — pairwise batch reduction over the same partials vs
-  the sequential left fold it replaces (identical rows, by
-  construction and by assertion).
+* ``assembler`` — the incremental
+  :class:`~repro.core.assembly.SkylineAssembler` against the ``legacy``
+  oracle, fed identical per-device skyline partials (anti-correlated,
+  d=4, >= 5k accumulated rows). ``legacy`` rebuilds the whole running
+  skyline on every merge (the linear accumulate-and-merge the paper's
+  originator performs — every incoming row is compared against the
+  entire running result); ``incremental`` keeps running arrays and
+  avoids the rebuild. The headline ``speedup_vs_legacy`` gate holds
+  incremental >= 3x over legacy. Both modes are asserted bit-identical.
 
 * ``cache`` — the per-device skyline-diagram cache
   (:class:`~repro.core.local.LocalResultCache`):
@@ -59,19 +48,16 @@ import sys
 import time
 from typing import Dict, List
 
-SCHEMA_VERSION = "bench_merge/v1"
+SCHEMA_VERSION = "bench_merge/v2"
 SCALES = ("small", "large")
 #: (cardinality, devices) per scale; devices must be a perfect square.
 SCALE_SHAPES = {"small": (20000, 36), "large": (120000, 64)}
 ASSEMBLER_FIELDS = (
     "accumulated_rows", "final_rows", "wall_s_legacy",
-    "wall_s_incremental", "wall_s_partitioned", "wall_s_partitioned_batch",
-    "speedup_vs_legacy", "speedup_vs_incremental",
+    "wall_s_incremental", "speedup_vs_legacy",
 )
-#: Headline gate: partitioned vs the legacy linear accumulate-and-merge.
+#: Headline gate: incremental vs the legacy linear accumulate-and-merge.
 SPEEDUP_GATE = 3.0
-#: Parity guard: partitioned may not fall behind incremental by > 3x.
-PARITY_GATE = 1.0 / 3.0
 #: The assembler scales must accumulate at least this many partial rows.
 MIN_ACCUMULATED_ROWS = 5000
 #: Cache micro gate: a hit must beat the uncached recompute by >= 2x.
@@ -117,7 +103,7 @@ def _rows(relation):
 
 
 def bench_assembler(scale: str) -> Dict[str, float]:
-    """Stream the partials through all three modes; assert identity."""
+    """Stream the partials through both modes; assert identity."""
     from repro.core.assembly import SkylineAssembler
 
     schema, partials = _partials(scale)
@@ -136,56 +122,18 @@ def bench_assembler(scale: str) -> Dict[str, float]:
     entry: Dict[str, float] = {
         "accumulated_rows": float(accumulated),
     }
-    for mode in ("legacy", "incremental", "partitioned"):
+    for mode in ("legacy", "incremental"):
         results[mode], entry[f"wall_s_{mode}"] = stream(mode)
 
-    asm = SkylineAssembler(schema, mode="partitioned")
-    start = time.perf_counter()
-    asm.add_batch(partials)
-    entry["wall_s_partitioned_batch"] = time.perf_counter() - start
-    results["partitioned_batch"] = asm.result()
-
-    reference = _rows(results["legacy"])
-    for mode, result in results.items():
-        if _rows(result) != reference:  # pragma: no cover - self-check
-            raise AssertionError(f"assembler mode {mode} is not bit-identical")
+    if _rows(results["incremental"]) != _rows(results["legacy"]):
+        raise AssertionError(  # pragma: no cover - self-check
+            "incremental assembler is not bit-identical to legacy"
+        )
     entry["final_rows"] = float(results["legacy"].cardinality)
     entry["speedup_vs_legacy"] = (
-        entry["wall_s_legacy"] / entry["wall_s_partitioned"]
-    )
-    entry["speedup_vs_incremental"] = (
-        entry["wall_s_incremental"] / entry["wall_s_partitioned"]
+        entry["wall_s_legacy"] / entry["wall_s_incremental"]
     )
     return entry
-
-
-def bench_merge_tree(scale: str) -> Dict[str, float]:
-    """Pairwise merge tree vs the sequential left fold it replaces."""
-    from repro.core.assembly import merge_skylines, merge_tree
-
-    schema, partials = _partials(scale)
-
-    def fold():
-        combined = partials[0]
-        for partial in partials[1:]:
-            combined = merge_skylines(combined, partial)
-        return combined
-
-    fold()  # warmup
-    start = time.perf_counter()
-    folded = fold()
-    wall_fold = time.perf_counter() - start
-    start = time.perf_counter()
-    treed = merge_tree(partials, schema=schema)
-    wall_tree = time.perf_counter() - start
-    if _rows(treed) != _rows(folded):  # pragma: no cover - self-check
-        raise AssertionError("merge_tree differs from the sequential fold")
-    return {
-        "wall_s_fold": wall_fold,
-        "wall_s_tree": wall_tree,
-        "speedup": wall_fold / wall_tree,
-        "rows": float(treed.cardinality),
-    }
 
 
 # -- cache -------------------------------------------------------------------
@@ -302,24 +250,6 @@ def validate(doc: dict) -> List[str]:
                 f"assembler.{scale}.speedup_vs_legacy "
                 f"{entry['speedup_vs_legacy']:.2f}x < {SPEEDUP_GATE:.0f}x gate"
             )
-        if entry["speedup_vs_incremental"] < PARITY_GATE:
-            errors.append(
-                f"assembler.{scale}.speedup_vs_incremental "
-                f"{entry['speedup_vs_incremental']:.2f}x < "
-                f"{PARITY_GATE:.2f}x parity guard"
-            )
-    merge = doc.get("merge_tree")
-    if not isinstance(merge, dict):
-        errors.append("merge_tree must be an object")
-        merge = {}
-    for scale in required_scales:
-        entry = merge.get(scale)
-        if not isinstance(entry, dict):
-            errors.append(f"merge_tree.{scale} missing")
-            continue
-        for field in ("wall_s_fold", "wall_s_tree", "speedup", "rows"):
-            if not num(entry.get(field)) or entry.get(field) <= 0:
-                errors.append(f"merge_tree.{scale}.{field} must be > 0")
     cache = doc.get("cache")
     if not isinstance(cache, dict):
         errors.append("cache must be an object")
@@ -357,20 +287,18 @@ def validate(doc: dict) -> List[str]:
 
 def compare_baseline(doc: dict, baseline: dict) -> List[str]:
     """Perf-gate comparison on the shared ``small`` assembler scale."""
-    errors: List[str] = []
-    for field in ("wall_s_partitioned", "wall_s_incremental"):
-        try:
-            new = doc["assembler"]["small"][field]
-            old = baseline["assembler"]["small"][field]
-        except (KeyError, TypeError):
-            errors.append(f"assembler.small.{field} missing on one side")
-            continue
-        if new > REGRESSION_FACTOR * old:
-            errors.append(
-                f"assembler.small.{field}: {new:.2f}s vs baseline "
-                f"{old:.2f}s (> {REGRESSION_FACTOR:.0f}x regression)"
-            )
-    return errors
+    field = "wall_s_incremental"
+    try:
+        new = doc["assembler"]["small"][field]
+        old = baseline["assembler"]["small"][field]
+    except (KeyError, TypeError):
+        return [f"assembler.small.{field} missing on one side"]
+    if new > REGRESSION_FACTOR * old:
+        return [
+            f"assembler.small.{field}: {new:.2f}s vs baseline "
+            f"{old:.2f}s (> {REGRESSION_FACTOR:.0f}x regression)"
+        ]
+    return []
 
 
 # -- entry point -------------------------------------------------------------
@@ -381,14 +309,11 @@ def run(smoke: bool) -> dict:
         "schema": SCHEMA_VERSION,
         "smoke": smoke,
         "assembler": {},
-        "merge_tree": {},
         "cache": {},
     }
     for scale in ("small",) if smoke else SCALES:
         print(f"assembler {scale} ...", file=sys.stderr)
         doc["assembler"][scale] = bench_assembler(scale)
-        print(f"merge tree {scale} ...", file=sys.stderr)
-        doc["merge_tree"][scale] = bench_merge_tree(scale)
     print("cache micro ...", file=sys.stderr)
     doc["cache"]["micro"] = bench_cache_micro(smoke)
     print("cache end-to-end ...", file=sys.stderr)
@@ -428,7 +353,7 @@ def main(argv=None) -> int:
         gate_scale = "small" if doc.get("smoke") else "large"
         speedup = doc["assembler"][gate_scale]["speedup_vs_legacy"]
         hit_rate = doc["cache"]["end_to_end"]["hit_rate"]
-        print(f"{args.check}: valid ({SCHEMA_VERSION}); partitioned vs "
+        print(f"{args.check}: valid ({SCHEMA_VERSION}); incremental vs "
               f"legacy at {gate_scale} scale: {speedup:.1f}x; continuous "
               f"cache hit rate: {hit_rate:.2f}"
               + ("; baseline wall times within tolerance"
@@ -446,12 +371,10 @@ def main(argv=None) -> int:
         fh.write("\n")
     for scale, entry in doc["assembler"].items():
         print(f"assembler {scale}: {entry['accumulated_rows']:.0f} rows "
-              f"accumulated -> {entry['final_rows']:.0f}; partitioned "
-              f"{entry['wall_s_partitioned']:.3f}s vs legacy "
+              f"accumulated -> {entry['final_rows']:.0f}; incremental "
+              f"{entry['wall_s_incremental']:.3f}s vs legacy "
               f"{entry['wall_s_legacy']:.3f}s "
-              f"({entry['speedup_vs_legacy']:.1f}x), incremental "
-              f"{entry['wall_s_incremental']:.3f}s "
-              f"({entry['speedup_vs_incremental']:.2f}x)")
+              f"({entry['speedup_vs_legacy']:.1f}x)")
     micro = doc["cache"]["micro"]
     e2e = doc["cache"]["end_to_end"]
     print(f"cache micro: hit {micro['hit_ops_per_s']:.0f} ops/s vs uncached "

@@ -200,14 +200,14 @@ def bench_assembler(n: int, smoke: bool) -> Dict[str, float]:
 
     schema, partials = _partials(n, seed=44)
 
-    def assemble(incremental: bool):
-        asm = SkylineAssembler(schema, incremental=incremental)
+    def assemble(mode: str):
+        asm = SkylineAssembler(schema, mode=mode)
         for sky in partials:
             asm.add(sky)
         return asm.result()
 
-    fast_result = assemble(True)
-    base_result = assemble(False)
+    fast_result = assemble("incremental")
+    base_result = assemble("legacy")
     same = (
         np.array_equal(fast_result.xy, base_result.xy)
         and np.array_equal(fast_result.values, base_result.values)
@@ -217,8 +217,8 @@ def bench_assembler(n: int, smoke: bool) -> Dict[str, float]:
         raise AssertionError("assembler parity failure")
 
     min_ops = (2 * _DEVICES, _DEVICES) if smoke else (40 * _DEVICES, 5 * _DEVICES)
-    fast_ops = _throughput(lambda: (assemble(True), _DEVICES)[1], min_ops[0])
-    base_ops = _throughput(lambda: (assemble(False), _DEVICES)[1], min_ops[1])
+    fast_ops = _throughput(lambda: (assemble("incremental"), _DEVICES)[1], min_ops[0])
+    base_ops = _throughput(lambda: (assemble("legacy"), _DEVICES)[1], min_ops[1])
     return _micro_entry(fast_ops, base_ops)
 
 

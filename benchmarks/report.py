@@ -37,7 +37,7 @@ SUITE_SCHEMAS = {
     "world": "bench_world/v2",
     "query": "bench_query/v1",
     "local": "bench_local/v1",
-    "merge": "bench_merge/v1",
+    "merge": "bench_merge/v2",
     "obs": "bench_obs/v2",
     "resilience": "bench_resilience/v1",
     "continuous": "bench_continuous/v1",
@@ -101,7 +101,7 @@ def build_report(suites: Dict[str, Dict]) -> Dict:
         for path, value in rows.items()
         if path.rsplit(".", 1)[-1] in (
             "speedup", "wall_speedup", "overhead_ratio",
-            "speedup_vs_legacy", "speedup_vs_incremental", "lookup_speedup",
+            "speedup_vs_legacy", "lookup_speedup",
         )
     }
     return {

@@ -3,11 +3,7 @@
 from .assembly import (
     ASSEMBLERS,
     SkylineAssembler,
-    configure_assembler,
     merge_skylines,
-    merge_tree,
-    resolve_assembler,
-    resolve_merge_block,
 )
 from .dominance import (
     ComparisonCounter,
@@ -34,10 +30,8 @@ from .local import (
     LOCAL_PATHS,
     LocalResultCache,
     LocalSkylineResult,
-    configure_local_path,
     local_skyline,
     local_skyline_vectorized,
-    resolve_local_path,
 )
 from .multifilter import (
     MultiFilterResult,
@@ -69,8 +63,6 @@ __all__ = [
     "SkylineAssembler",
     "SkylineQuery",
     "any_dominator",
-    "configure_assembler",
-    "configure_local_path",
     "dominance_mask",
     "dominates",
     "dominates_or_equal",
@@ -81,13 +73,9 @@ __all__ = [
     "local_skyline_multifilter",
     "local_skyline_vectorized",
     "merge_skylines",
-    "merge_tree",
     "normalize_values",
     "promote_filter",
     "prune_with_filters",
-    "resolve_assembler",
-    "resolve_local_path",
-    "resolve_merge_block",
     "select_filter",
     "select_filter_set",
     "skyline_bnl",

@@ -31,16 +31,16 @@ Every storage model has **two** implementations of this pipeline:
   :class:`ComparisonCounter` / ``AccessStats`` totals, computed
   analytically instead of per comparison.
 
-Pick the path per call (``path=``), per process
-(:func:`configure_local_path`), or via the ``REPRO_LOCAL_PATH``
-environment variable; the default is ``"fast"``. A separate vectorised
-variant over raw relations (:func:`local_skyline_vectorized`) remains
-for mixed-preference schemas and the large simulation experiments.
+``"fast"`` is the production path and the default; the ``reference``
+loops are the oracle of the differential tests and the local benchmark,
+selected only by an explicit ``path="reference"`` argument. A separate
+vectorised variant over raw relations (:func:`local_skyline_vectorized`)
+remains for mixed-preference schemas and the large simulation
+experiments.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -69,8 +69,6 @@ __all__ = [
     "LocalSkylineResult",
     "LocalResultCache",
     "LOCAL_PATHS",
-    "configure_local_path",
-    "resolve_local_path",
     "local_skyline",
     "local_skyline_vectorized",
 ]
@@ -82,38 +80,6 @@ LOCAL_PATHS = ("fast", "reference")
 #: every intermediate dominance matrix under ~256 KiB of bools while
 #: leaving enough rows per tile to amortize numpy dispatch.
 DEFAULT_BLOCK = 512
-
-_PATH_OVERRIDE: Optional[str] = None
-
-
-def _validate_path(path: str) -> str:
-    if path not in LOCAL_PATHS:
-        raise ValueError(f"unknown local path {path!r}; expected one of {LOCAL_PATHS}")
-    return path
-
-
-def configure_local_path(path: Optional[str]) -> None:
-    """Set a process-wide local-processing path override.
-
-    ``None`` clears the override, restoring environment/default
-    resolution. The CLI's ``--local-path`` flag lands here.
-    """
-    global _PATH_OVERRIDE
-    _PATH_OVERRIDE = _validate_path(path) if path is not None else None
-
-
-def resolve_local_path(path: Optional[str] = None) -> str:
-    """Resolve the effective path: explicit argument beats the
-    :func:`configure_local_path` override beats ``REPRO_LOCAL_PATH``
-    beats the ``"fast"`` default."""
-    if path is not None:
-        return _validate_path(path)
-    if _PATH_OVERRIDE is not None:
-        return _PATH_OVERRIDE
-    env = os.environ.get("REPRO_LOCAL_PATH")
-    if env:
-        return _validate_path(env)
-    return "fast"
 
 
 class LocalResultCache:
@@ -245,7 +211,7 @@ def local_skyline(
     flt: Optional[FilteringTuple] = None,
     estimation: Estimation = Estimation.UNDER,
     over_margin: float = 0.2,
-    path: Optional[str] = None,
+    path: str = "fast",
     block: int = DEFAULT_BLOCK,
 ) -> LocalSkylineResult:
     """Run the Figure 4 algorithm against any storage model.
@@ -255,10 +221,10 @@ def local_skyline(
     pointer layouts (domain / ring storage), whose per-read indirection
     costs are recorded in ``storage.stats``.
 
-    ``path`` picks between the tiled numpy kernels (``"fast"``) and the
-    row-at-a-time loops (``"reference"``); both produce bit-identical
-    results and counters (see :func:`resolve_local_path` for the default
-    chain). ``block`` bounds the fast kernels' tile edge.
+    ``path`` picks between the tiled numpy kernels (``"fast"``, the
+    default) and the row-at-a-time oracle loops (``"reference"``); both
+    produce bit-identical results and counters. ``block`` bounds the
+    fast kernels' tile edge.
 
     The faithful storage paths assume the paper's all-MIN schemas; for
     mixed-preference schemas use :func:`local_skyline_vectorized`, which
@@ -269,7 +235,11 @@ def local_skyline(
             "the faithful storage paths assume minimized attributes; "
             "use local_skyline_vectorized for mixed-preference schemas"
         )
-    fast = resolve_local_path(path) == "fast"
+    if path not in LOCAL_PATHS:
+        raise ValueError(
+            f"unknown local path {path!r}; expected one of {LOCAL_PATHS}"
+        )
+    fast = path == "fast"
     if isinstance(storage, HybridStorage):
         if fast:
             return _local_skyline_hybrid_fast(

@@ -85,15 +85,24 @@ class QueryLog:
 
     Space is O(m) worst case, the duplicate check is O(1) (Section 3.4).
     The mechanism assumes each device only cares about its *latest*
-    query: a query is fresh iff its ``cnt`` differs from the logged one.
+    query, so the compare is monotone: a query is fresh iff its ``cnt``
+    is newer than the logged one. ``cnt`` wraps at 256, so "newer" is
+    serial-number order: the half of the counter space behind the
+    logged value (``last - 127 .. last``, modulo 256) is stale, and the
+    rest is ahead. A delayed frame of an older query is therefore
+    ignored instead of being re-accepted and then re-admitting the
+    newer one. An originator's counter reset must clear the logs too.
     """
 
     def __init__(self) -> None:
         self._last: Dict[int, int] = {}
 
     def seen(self, query: SkylineQuery) -> bool:
-        """Has this exact query already been processed here?"""
-        return self._last.get(query.origin) == query.cnt
+        """Is this query the logged one or older than it?"""
+        last = self._last.get(query.origin)
+        if last is None:
+            return False
+        return (last - query.cnt) % COUNTER_MODULUS < COUNTER_MODULUS // 2
 
     def record(self, query: SkylineQuery) -> None:
         """Log the query as this originator's latest."""

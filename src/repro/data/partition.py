@@ -212,23 +212,15 @@ def make_global_dataset(
                 target = int(options[rng.integers(0, len(options))])
                 per_cell[target].append(int(row_idx))
 
-    locals_: List[Relation] = []
-    for cell in range(grid.cells):
-        idx = np.asarray(sorted(per_cell[cell]), dtype=np.int64)
-        if idx.size:
-            locals_.append(
-                Relation(
-                    schema,
-                    global_relation.xy[idx],
-                    global_relation.values[idx],
-                    global_relation.site_ids[idx],
-                )
-            )
-        else:
-            locals_.append(Relation.empty(schema))
+    # Slices of the validated global relation need no second boundary
+    # check, so take() wraps them directly.
+    locals_ = tuple(
+        global_relation.take(sorted(per_cell[cell]))
+        for cell in range(grid.cells)
+    )
     return GlobalDataset(
         schema=schema,
         global_relation=global_relation,
-        locals=tuple(locals_),
+        locals=locals_,
         grid=grid,
     )

@@ -12,7 +12,7 @@ produced by ``benchmarks/test_fig5_*``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def measure_local_time(
     relation: Relation,
     storage_kind: str,
     cost_model: DeviceCostModel = PDA_2006,
-    path: Optional[str] = None,
+    path: str = "fast",
 ) -> float:
     """Modelled PDA seconds for one local skyline over ``relation``.
 
@@ -91,7 +91,7 @@ def measure_local_time(
 def figure_5a(
     scale: ExperimentScale = DEFAULT,
     cost_model: DeviceCostModel = PDA_2006,
-    path: Optional[str] = None,
+    path: str = "fast",
 ) -> FigureResult:
     """Processing time vs. cardinality (2 non-spatial attributes)."""
     result = FigureResult(
@@ -123,7 +123,7 @@ def figure_5a(
 def figure_5b(
     scale: ExperimentScale = DEFAULT,
     cost_model: DeviceCostModel = PDA_2006,
-    path: Optional[str] = None,
+    path: str = "fast",
 ) -> FigureResult:
     """Processing time vs. dimensionality (fixed cardinality).
 

@@ -54,6 +54,12 @@ def perturb_relation(
         value_step: Optional quantization step for the fresh values
             (match the dataset generator's ``value_step`` to keep the
             value universe consistent).
+
+    Raises:
+        ValueError: If ``fraction`` is outside ``[0, 1]``, or if the
+            perturbed values are not finite (an infinite ``value_step``
+            turns every fresh value into NaN) — the result goes through
+            :class:`~repro.storage.relation.Relation`'s boundary check.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")

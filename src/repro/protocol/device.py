@@ -26,10 +26,9 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.assembly import (
     ASSEMBLERS,
+    DEFAULT_MERGE_BLOCK,
     SkylineAssembler,
     merge_skylines,
-    resolve_assembler,
-    resolve_merge_block,
 )
 from ..core.filtering import Estimation, FilteringTuple, select_filter
 from ..core.local import (
@@ -91,10 +90,10 @@ class ProtocolConfig:
         over_margin: Margin for over-estimation.
         processor: ``vectorized`` (fast, for simulations), ``hybrid`` or
             ``flat`` (faithful per-tuple paths with operation counts).
-        local_path: For the storage processors, ``fast`` runs the tiled
-            numpy kernels and ``reference`` the row-at-a-time loops —
-            bit-identical results and counters either way (the switch
-            exists for differential tests and benchmarks).
+        local_path: For the storage processors, ``fast`` (default) runs
+            the tiled numpy kernels and ``reference`` the row-at-a-time
+            oracle loops — bit-identical results and counters either way
+            (the oracle exists for differential tests and benchmarks).
         cost_model: Converts local work into simulated processing time.
         model_processing_delay: If True, local processing delays message
             sends by the modelled device time (the paper adds estimated
@@ -130,21 +129,12 @@ class ProtocolConfig:
             deadline budgets, DF→BF failover, orphan suppression,
             completion reports. Defaults are inert: a default policy
             reproduces the pre-resilience protocol bit for bit.
-        assembler: ``incremental`` merges partial skylines via the
-            running-array assembler and chunked dominance passes;
-            ``partitioned`` adds grid-cell dominance-frontier pruning
-            and merge-tree batching; ``legacy`` rebuilds a relation per
-            contribution with one unbounded broadcast — the reference
-            path. Results are bit-identical across all three. ``None``
-            (default) resolves via
-            :func:`~repro.core.assembly.resolve_assembler`: the CLI's
-            ``--assembler`` override, then ``REPRO_ASSEMBLER``, then
-            ``incremental``.
-        merge_block: Chunk edge for the incremental dominance passes
-            (bounds peak merge memory at ``merge_block² · n`` booleans).
-            ``None`` (default) resolves via
-            :func:`~repro.core.assembly.resolve_merge_block`
-            (``REPRO_MERGE_BLOCK``, then 512).
+        assembler: ``incremental`` (default) merges partial skylines via
+            the running-array assembler and tiled dominance passes of
+            edge :data:`~repro.core.assembly.DEFAULT_MERGE_BLOCK`;
+            ``legacy`` rebuilds a relation per contribution with one
+            unbounded broadcast — the oracle the differential tests
+            compare against. Results are bit-identical.
         local_cache: Memoize local skyline evaluations per device, keyed
             on ``(data_epoch, query signature)`` and invalidated by
             data updates — repeated and continuous-refresh queries skip
@@ -177,8 +167,7 @@ class ProtocolConfig:
     token_reissues: int = 2
     backtrack_slack: int = 4
     backtrack_retry_delay: float = _BACKTRACK_RETRY_DELAY
-    assembler: Optional[str] = None
-    merge_block: Optional[int] = None
+    assembler: str = "incremental"
     local_cache: bool = True
     local_cache_size: int = 64
     obs_ring: Optional[int] = None
@@ -189,10 +178,8 @@ class ProtocolConfig:
             raise ValueError(f"unknown processor {self.processor!r}")
         if self.local_path not in LOCAL_PATHS:
             raise ValueError(f"unknown local_path {self.local_path!r}")
-        if self.assembler is not None and self.assembler not in ASSEMBLERS:
+        if self.assembler not in ASSEMBLERS:
             raise ValueError(f"unknown assembler {self.assembler!r}")
-        if self.merge_block is not None and self.merge_block < 1:
-            raise ValueError("merge_block must be >= 1")
         if self.local_cache_size < 1:
             raise ValueError("local_cache_size must be >= 1")
         if self.obs_ring is not None and self.obs_ring < 1:
@@ -224,18 +211,6 @@ class ProtocolConfig:
         else ``query_timeout``."""
         deadline = self.resilience.deadline
         return self.query_timeout if deadline is None else deadline
-
-    @property
-    def effective_assembler(self) -> str:
-        """The resolved assembler mode (explicit field → process
-        override → ``REPRO_ASSEMBLER`` → ``incremental``)."""
-        return resolve_assembler(self.assembler)
-
-    @property
-    def effective_merge_block(self) -> int:
-        """The resolved merge block (explicit field →
-        ``REPRO_MERGE_BLOCK`` → 512)."""
-        return resolve_merge_block(self.merge_block)
 
     @property
     def effective_obs_ring(self) -> Optional[int]:
@@ -534,16 +509,13 @@ class SkylineDevice(Node):
     def _make_assembler(self, initial: Optional[Relation]) -> SkylineAssembler:
         """Build this device's result assembler per ``config.assembler``."""
         return SkylineAssembler(
-            self.relation.schema,
-            initial,
-            mode=self.config.effective_assembler,
-            block=self.config.effective_merge_block,
+            self.relation.schema, initial, mode=self.config.assembler
         )
 
     def _merge_partials(self, current: Relation, incoming: Relation) -> Relation:
         """Merge two partial skylines per ``config.assembler``."""
-        mode = self.config.effective_assembler
-        block = None if mode == "legacy" else self.config.effective_merge_block
+        legacy = self.config.assembler == "legacy"
+        block = None if legacy else DEFAULT_MERGE_BLOCK
         return merge_skylines(current, incoming, block=block)
 
     def processing_delay(self, result: LocalSkylineResult) -> float:

@@ -137,7 +137,6 @@ def run_static_query(
     use_filter: bool = True,
     cache: Optional[StaticGridCache] = None,
     assemble: bool = True,
-    assembler: str = "incremental",
 ) -> StaticQueryOutcome:
     """One query, forwarded recursively outward from ``originator``.
 
@@ -157,11 +156,6 @@ def run_static_query(
             The DRR experiments only need the per-device size pairs, and
             assembly dominates their runtime on anti-correlated data —
             pass False there; ``outcome.result`` is then empty.
-        assembler: ``incremental`` (default), ``partitioned``, or
-            ``legacy`` result assembly — bit-identical outputs, see
-            :class:`~repro.core.assembly.SkylineAssembler`. The
-            partitioned engine additionally tree-combines the collected
-            partials (:meth:`~repro.core.assembly.SkylineAssembler.add_batch`).
     """
     if not 0 <= originator < dataset.devices:
         raise ValueError(
@@ -192,11 +186,10 @@ def run_static_query(
         )
 
     asm = (
-        SkylineAssembler(dataset.schema, org_skyline, mode=assembler)
+        SkylineAssembler(dataset.schema, org_skyline)
         if assemble
         else None
     )
-    partials: List[Relation] = []
     contributions: List[StaticContribution] = []
 
     # BFS outward over the grid adjacency; each device receives the
@@ -242,14 +235,8 @@ def run_static_query(
                 )
             )
             if asm is not None:
-                partials.append(sky)
+                asm.add(sky)
             queue.append((neighbor, out_flt))
-
-    if asm is not None:
-        # One batched merge in BFS discovery order — identical rows and
-        # order to per-arrival adds; the partitioned engine pairwise
-        # tree-combines the batch first.
-        asm.add_batch(partials)
 
     return StaticQueryOutcome(
         originator=originator,
@@ -271,7 +258,6 @@ def run_static_grid(
     originators: Optional[List[int]] = None,
     cache: Optional[StaticGridCache] = None,
     assemble: bool = True,
-    assembler: str = "incremental",
 ) -> List[StaticQueryOutcome]:
     """Run the pre-test with every device as originator once (default).
 
@@ -292,7 +278,6 @@ def run_static_grid(
             use_filter=use_filter,
             cache=cache,
             assemble=assemble,
-            assembler=assembler,
         )
         for org in originators
     ]

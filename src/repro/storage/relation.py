@@ -54,6 +54,16 @@ class Relation:
             raise ValueError(
                 f"xy has {xy.shape[0]} rows but values has {values.shape[0]}"
             )
+        # Boundary policy: coordinates and values must be finite. NaN
+        # never compares, so each skyline path would resolve it its own
+        # way. ±inf is rejected too: dominating-region volumes (VDR)
+        # multiply per-attribute extents, and an infinite extent times a
+        # zero one is NaN. Out-of-domain finite values are accepted.
+        if not (np.isfinite(xy).all() and np.isfinite(values).all()):
+            raise ValueError(
+                "relation coordinates and values must be finite "
+                "(NaN and ±inf are rejected)"
+            )
         if site_ids is None:
             site_ids = np.arange(xy.shape[0], dtype=np.int64)
         else:

@@ -3,12 +3,12 @@
 Three independent fast paths shipped together and each has a slow
 reference implementation that defines correctness:
 
-* the **incremental** and **partitioned** modes of
+* the **incremental** mode of
   :class:`~repro.core.assembly.SkylineAssembler` (running array triple
-  with chunked dominance; grid-cell pruning plus merge tree) versus the
-  **legacy** rebuild-per-merge assembler — compared bit for bit, both
-  on synthetic merge sequences and through full MANET simulations (BF
-  and DF, both distributions, with faults injected);
+  with chunked dominance) versus the **legacy** rebuild-per-merge
+  oracle — compared bit for bit, both on synthetic merge sequences and
+  through full MANET simulations (BF and DF, both distributions, with
+  faults injected);
 * the **device-side result cache**
   (:class:`~repro.core.local.LocalResultCache`) versus uncached
   recomputation — full runs with the cache on and off must agree on
@@ -112,14 +112,14 @@ def _assert_bit_identical(a: Relation, b: Relation):
 
 
 class TestAssemblerDifferential:
-    @pytest.mark.parametrize("mode", ["incremental", "partitioned"])
+    @pytest.mark.parametrize("mode", ["incremental"])
     @pytest.mark.parametrize("block", [1, 2, 512])
     def test_legacy_vs_fast_modes_exact(self, mode, block):
         """Same merge sequence → bit-identical result, any chunk size."""
         for seed in range(20):
             schema, parts = _pool_partials(seed)
             fast = SkylineAssembler(schema, parts[0], mode=mode, block=block)
-            slow = SkylineAssembler(schema, parts[0], incremental=False)
+            slow = SkylineAssembler(schema, parts[0], mode="legacy")
             for part in parts[1:]:
                 fast.add(part)
                 slow.add(part)
@@ -159,13 +159,9 @@ class TestAssemblerDifferential:
             asm.add_all([parts[i] for i in perm])
             assert _rows(asm.result()) == want
 
-        slow = SkylineAssembler(schema, incremental=False)
+        slow = SkylineAssembler(schema, mode="legacy")
         slow.add_all(parts)
         assert _rows(slow.result()) == want
-
-        grid = SkylineAssembler(schema, mode="partitioned")
-        grid.add_batch(parts)
-        assert _rows(grid.result()) == want
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +227,12 @@ def _assert_runs_identical(fast, slow, strategy):
 @pytest.mark.parametrize("strategy", ["bf", "df"])
 @pytest.mark.parametrize("distribution", ["independent", "anticorrelated"])
 def test_simulation_assembler_parity(strategy, distribution):
-    """A faulty MANET run is bit-identical under every assembler:
-    every QueryRecord field, every result table, and the aggregated
-    metrics."""
-    slow = _simulate("legacy", strategy, distribution)
-    for mode in ("incremental", "partitioned"):
-        _assert_runs_identical(_simulate(mode, strategy, distribution),
-                               slow, strategy)
+    """A faulty MANET run is bit-identical under the incremental
+    assembler and the legacy oracle: every QueryRecord field, every
+    result table, and the aggregated metrics."""
+    _assert_runs_identical(_simulate("incremental", strategy, distribution),
+                           _simulate("legacy", strategy, distribution),
+                           strategy)
 
 
 # ---------------------------------------------------------------------------

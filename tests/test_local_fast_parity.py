@@ -15,12 +15,8 @@ import numpy as np
 import pytest
 
 from repro.core.filtering import Estimation, FilteringTuple
-from repro.core.local import (
-    LOCAL_PATHS,
-    configure_local_path,
-    local_skyline,
-    resolve_local_path,
-)
+from repro.core import local as local_module
+from repro.core.local import local_skyline
 from repro.core.query import SkylineQuery
 from repro.data import make_global_dataset
 from repro.data.workload import generate_workload
@@ -120,38 +116,26 @@ class TestKernelParity:
 
 class TestPathResolution:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            resolve_local_path("turbo")
         rel = device_dataset(10, 2, "independent", seed=0)
-        with pytest.raises(ValueError):
-            local_skyline(FlatStorage(rel), WIDE, path="turbo")
+        for bad in ("turbo", None):
+            with pytest.raises(ValueError):
+                local_skyline(FlatStorage(rel), WIDE, path=bad)
 
     def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LOCAL_PATH", raising=False)
-        configure_local_path(None)
-        assert resolve_local_path(None) == "fast"
-
-    def test_env_override(self, monkeypatch):
+        """Omitting ``path`` runs the fast kernels; the retired
+        ``REPRO_LOCAL_PATH`` variable is ignored."""
         monkeypatch.setenv("REPRO_LOCAL_PATH", "reference")
-        configure_local_path(None)
-        assert resolve_local_path(None) == "reference"
-        with pytest.raises(ValueError):
-            monkeypatch.setenv("REPRO_LOCAL_PATH", "bogus")
-            resolve_local_path(None)
 
-    def test_configure_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOCAL_PATH", "reference")
-        configure_local_path("fast")
-        try:
-            assert resolve_local_path(None) == "fast"
-            assert resolve_local_path("reference") == "reference"
-        finally:
-            configure_local_path(None)
+        def _no_reference(*args, **kwargs):
+            raise AssertionError("reference loop ran without path=")
 
-    def test_explicit_beats_all(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOCAL_PATH", "fast")
-        for path in LOCAL_PATHS:
-            assert resolve_local_path(path) == path
+        for name in ("_local_skyline_hybrid", "_local_skyline_values",
+                     "_local_skyline_generic"):
+            monkeypatch.setattr(local_module, name, _no_reference)
+        rel = device_dataset(60, 3, "anticorrelated", seed=4)
+        for storage_cls in ALL_STORAGES:
+            local_skyline(storage_cls(rel), QUERY)
+        assert ProtocolConfig().local_path == "fast"
 
     def test_protocol_config_validates(self):
         with pytest.raises(ValueError):

@@ -1,19 +1,17 @@
-"""Partitioned assembly, merge kernels, and the device result cache.
+"""Assembly of partial skylines, merge kernels, and the device result cache.
 
 Companion to ``test_fast_path_parity.py``: that suite pins the fast
-paths through full simulations; this one pins the new pieces at unit
+paths through full simulations; this one pins the pieces at unit
 level —
 
-* the **partitioned** :class:`~repro.core.assembly.SkylineAssembler`
-  (grid-cell dominance pruning) against both references, across
-  dimensionalities, mixed MIN/MAX schemas, and grid budgets;
-* :func:`~repro.core.assembly.merge_tree` against the sequential fold;
+* the **incremental** :class:`~repro.core.assembly.SkylineAssembler`
+  against the **legacy** oracle and the centralized skyline, across
+  dimensionalities and mixed MIN/MAX schemas;
 * the ``_dominated_by`` / ``_duplicate_mask`` kernel edge cases: d=1,
   single-row inputs, all-duplicate batches, block sizes of 1 and
   larger than the input, and ``block=None`` vs tiled invariance;
-* the configuration surface: ``ProtocolConfig`` validation and the
-  assembler / merge-block resolution chains (explicit → override →
-  environment → default);
+* the configuration surface: ``ProtocolConfig`` / assembler-mode
+  validation, and the configured mode reaching the device's assembler;
 * :class:`~repro.core.local.LocalResultCache` bookkeeping (LRU
   eviction, counters, invalidation).
 """
@@ -25,32 +23,19 @@ import pytest
 
 from repro.core.assembly import (
     ASSEMBLERS,
-    DEFAULT_MERGE_BLOCK,
     SkylineAssembler,
     _dominated_by,
     _duplicate_mask,
-    configure_assembler,
-    merge_skylines,
-    merge_tree,
-    resolve_assembler,
-    resolve_merge_block,
 )
 from repro.core.local import LocalResultCache
 from repro.core.query import SkylineQuery
 from repro.core.skyline import skyline_of_relation
+from repro.data import make_global_dataset
+from repro.net import RadioConfig, Simulator, StaticPlacement, World
+from repro.protocol import BFDevice
 from repro.protocol.device import ProtocolConfig
 from repro.storage import Relation
 from repro.storage.schema import AttributeSpec, Preference, RelationSchema
-
-
-@pytest.fixture(autouse=True)
-def _clean_overrides(monkeypatch):
-    """Tests run with no ambient assembler/block configuration."""
-    monkeypatch.delenv("REPRO_ASSEMBLER", raising=False)
-    monkeypatch.delenv("REPRO_MERGE_BLOCK", raising=False)
-    configure_assembler(None)
-    yield
-    configure_assembler(None)
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +79,15 @@ def _assert_bit_identical(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Partitioned assembler differential
+# Incremental assembler vs the legacy oracle
 # ---------------------------------------------------------------------------
 
 
-class TestPartitionedAssembler:
+class TestIncrementalAssembler:
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_stream_matches_references_across_dims(self, d):
+        """Every prefix of the stream matches the legacy oracle bit for
+        bit, and the final result is the centralized skyline."""
         for seed in range(8):
             schema, parts = _partials(seed, d=d)
             asms = {
@@ -110,76 +97,34 @@ class TestPartitionedAssembler:
             for part in parts:
                 for asm in asms.values():
                     asm.add(part)
-                reference = asms["legacy"].result()
-                _assert_bit_identical(asms["incremental"].result(), reference)
-                _assert_bit_identical(asms["partitioned"].result(), reference)
+                _assert_bit_identical(
+                    asms["incremental"].result(), asms["legacy"].result()
+                )
             assert len({a.merges for a in asms.values()}) == 1
-
-    @pytest.mark.parametrize("grid_budget", [1, 8, 4096])
-    def test_grid_budget_never_changes_rows(self, grid_budget):
-        """Resolution only moves work between pruning and the kernel."""
-        schema, parts = _partials(3, d=3)
-        coarse = SkylineAssembler(
-            schema, mode="partitioned", grid_budget=grid_budget
-        )
-        reference = SkylineAssembler(schema, mode="legacy")
-        for part in parts:
-            coarse.add(part)
-            reference.add(part)
-            _assert_bit_identical(coarse.result(), reference.result())
-
-    def test_add_batch_matches_streaming(self):
-        schema, parts = _partials(11, d=2, parts=7)
-        streamed = SkylineAssembler(schema, mode="partitioned")
-        for part in parts:
-            streamed.add(part)
-        batched = SkylineAssembler(schema, mode="partitioned")
-        batched.add_batch(parts)
-        _assert_bit_identical(streamed.result(), batched.result())
-        assert batched.merges == streamed.merges == len(parts)
+            union = Relation(
+                schema,
+                np.vstack([p.xy for p in parts]),
+                np.vstack([p.values for p in parts]),
+                np.concatenate([p.site_ids for p in parts]),
+            )
+            got = asms["incremental"].result()
+            want = skyline_of_relation(union)
+            assert sorted(got.site_ids.tolist()) == sorted(
+                set(want.site_ids.tolist())
+            )
 
     def test_seeded_initial_matches_add(self):
         schema, parts = _partials(13, d=2)
-        seeded = SkylineAssembler(schema, parts[0], mode="partitioned")
-        grown = SkylineAssembler(schema, mode="partitioned")
-        grown.add(parts[0])
-        _assert_bit_identical(seeded.result(), grown.result())
+        for mode in ASSEMBLERS:
+            seeded = SkylineAssembler(schema, parts[0], mode=mode)
+            grown = SkylineAssembler(schema, mode=mode)
+            grown.add(parts[0])
+            _assert_bit_identical(seeded.result(), grown.result())
 
-    def test_mode_property_and_bool_backcompat(self):
+    def test_mode_property(self):
         schema = _mixed_schema(2)
-        assert SkylineAssembler(schema, mode="partitioned").mode == "partitioned"
-        assert SkylineAssembler(schema, incremental=False).mode == "legacy"
-        assert SkylineAssembler(schema, incremental=True).mode == "incremental"
-        with pytest.raises(ValueError):
-            SkylineAssembler(schema, mode="legacy", incremental=True)
-        with pytest.raises(ValueError):
-            SkylineAssembler(schema, mode="quantum")
-
-
-class TestMergeTree:
-    def test_matches_sequential_fold(self):
-        for seed in range(8):
-            schema, parts = _partials(seed, d=2, parts=7)
-            folded = parts[0]
-            for part in parts[1:]:
-                folded = merge_skylines(folded, part)
-            _assert_bit_identical(merge_tree(parts), folded)
-
-    def test_empty_and_single_inputs(self):
-        schema, parts = _partials(5, d=2, parts=1)
-        with pytest.raises(ValueError):
-            merge_tree([])
-        _assert_bit_identical(
-            merge_tree([], schema=schema), Relation.empty(schema)
-        )
-        # A lone partial still gets within-partial duplicate elimination.
-        doubled = Relation(
-            schema,
-            np.vstack([parts[0].xy, parts[0].xy]),
-            np.vstack([parts[0].values, parts[0].values]),
-            np.concatenate([parts[0].site_ids, parts[0].site_ids]),
-        )
-        _assert_bit_identical(merge_tree([doubled]), parts[0])
+        assert SkylineAssembler(schema).mode == "incremental"
+        assert SkylineAssembler(schema, mode="legacy").mode == "legacy"
 
 
 # ---------------------------------------------------------------------------
@@ -257,60 +202,44 @@ class TestDuplicateMaskEdges:
 class TestConfigValidation:
     def test_protocol_config_accepts_known_assemblers(self):
         for mode in ASSEMBLERS:
-            assert ProtocolConfig(assembler=mode).effective_assembler == mode
-        assert ProtocolConfig().effective_assembler == "incremental"
+            assert ProtocolConfig(assembler=mode).assembler == mode
+        assert ProtocolConfig().assembler == "incremental"
 
     def test_protocol_config_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            ProtocolConfig(assembler="quantum")
-        with pytest.raises(ValueError):
-            ProtocolConfig(merge_block=0)
+        for bad in ("quantum", "partitioned", None):
+            with pytest.raises(ValueError):
+                ProtocolConfig(assembler=bad)
         with pytest.raises(ValueError):
             ProtocolConfig(local_cache_size=0)
 
-    def test_merge_block_resolution_chain(self, monkeypatch):
-        assert ProtocolConfig().effective_merge_block == DEFAULT_MERGE_BLOCK
-        assert ProtocolConfig(merge_block=7).effective_merge_block == 7
-        monkeypatch.setenv("REPRO_MERGE_BLOCK", "33")
-        assert ProtocolConfig().effective_merge_block == 33
-        assert ProtocolConfig(merge_block=7).effective_merge_block == 7
-        assert resolve_merge_block() == 33
-        assert resolve_merge_block(9) == 9
-
-    def test_merge_block_env_invalid_is_loud(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MERGE_BLOCK", "many")
-        with pytest.raises(ValueError):
-            resolve_merge_block()
-        monkeypatch.setenv("REPRO_MERGE_BLOCK", "0")
-        with pytest.raises(ValueError):
-            resolve_merge_block()
-        with pytest.raises(ValueError):
-            resolve_merge_block(-3)
-
-    def test_assembler_resolution_chain(self, monkeypatch):
-        assert resolve_assembler() == "incremental"
-        monkeypatch.setenv("REPRO_ASSEMBLER", "legacy")
-        assert resolve_assembler() == "legacy"
-        configure_assembler("partitioned")  # override beats environment
-        assert resolve_assembler() == "partitioned"
-        assert resolve_assembler("incremental") == "incremental"
-        configure_assembler(None)
-        assert resolve_assembler() == "legacy"
-
-    def test_assembler_invalid_is_loud(self, monkeypatch):
-        with pytest.raises(ValueError):
-            configure_assembler("quantum")
-        monkeypatch.setenv("REPRO_ASSEMBLER", "quantum")
-        with pytest.raises(ValueError):
-            resolve_assembler()
-        with pytest.raises(ValueError):
-            resolve_assembler("quantum")
+    def test_assembler_invalid_is_loud(self):
+        schema = _mixed_schema(2)
+        for bad in ("quantum", "partitioned", None):
+            with pytest.raises(ValueError):
+                SkylineAssembler(schema, mode=bad)
+        for block in (0, -3):
+            with pytest.raises(ValueError):
+                SkylineAssembler(schema, block=block)
 
     def test_assembler_config_reaches_assembler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSEMBLER", "partitioned")
-        monkeypatch.setenv("REPRO_MERGE_BLOCK", "17")
-        asm = SkylineAssembler(_mixed_schema(2))
-        assert asm.mode == "partitioned"
+        """The device builds its assembler from ``ProtocolConfig`` alone;
+        the retired ``REPRO_ASSEMBLER`` variable is ignored."""
+        monkeypatch.setenv("REPRO_ASSEMBLER", "legacy")
+        dataset = make_global_dataset(
+            40, 2, 4, "independent", seed=3, value_step=1.0
+        )
+        cases = [
+            (ProtocolConfig(assembler="incremental"), "incremental"),
+            (ProtocolConfig(assembler="legacy"), "legacy"),
+            (ProtocolConfig(), "incremental"),
+        ]
+        world = World(
+            Simulator(), StaticPlacement([(0.0, 0.0)] * len(cases)),
+            RadioConfig(),
+        )
+        for i, (config, want) in enumerate(cases):
+            device = BFDevice(world, i, dataset.local(0), config)
+            assert device._make_assembler(None).mode == want
 
 
 # ---------------------------------------------------------------------------

@@ -66,14 +66,35 @@ class TestQueryLog:
 
     def test_latest_query_only_semantics(self):
         """The log keeps only the last cnt per originator: an older cnt
-        arriving later is treated as fresh (the paper's assumption that a
-        device only cares about its latest query)."""
+        arriving later is stale, a newer one is fresh (the paper's
+        assumption that a device only cares about its latest query)."""
         log = QueryLog()
         log.record(self._q(1, 5))
         assert log.seen(self._q(1, 5))
-        assert not log.seen(self._q(1, 4))
+        assert log.seen(self._q(1, 4))
+        assert not log.seen(self._q(1, 6))
         log.record(self._q(1, 6))
-        assert not log.seen(self._q(1, 5))
+        assert log.seen(self._q(1, 5))
+
+    def test_delayed_older_frame_does_not_readmit_newer(self):
+        """A delayed frame of an older query (duplication / jitter
+        faults) must not count as fresh and then re-admit the newer
+        one: cnt 2, then 1, then 2 accepts only the first frame."""
+        log = QueryLog()
+        accepted = [
+            log.check_and_record(self._q(1, cnt)) for cnt in (2, 1, 2)
+        ]
+        assert accepted == [True, False, False]
+
+    def test_stale_window_wraps_with_the_counter(self):
+        """Order is modulo 256: 255 is older than 0, and half the
+        counter space behind the last cnt is stale."""
+        log = QueryLog()
+        log.record(self._q(1, 0))
+        assert log.seen(self._q(1, 255))
+        assert log.seen(self._q(1, 129))
+        assert not log.seen(self._q(1, 128))
+        assert not log.seen(self._q(1, 1))
 
     def test_per_origin_isolation(self):
         log = QueryLog()

@@ -27,6 +27,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match="rows"):
             Relation(schema2, np.zeros((3, 2)), np.zeros((4, 2)))
 
+    def test_non_finite_values_rejected(self, schema2):
+        """NaN never compares, so each skyline path resolved it its own
+        way: on this relation the vectorized and flat-fast paths kept 3
+        rows, flat-reference 2 and hybrid 1. The boundary rejects it."""
+        nan = float("nan")
+        xy = [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]]
+        values = [[2.0, 2.0], [0.0, nan], [0.0, 0.0], [nan, 3.0]]
+        with pytest.raises(ValueError, match="finite"):
+            Relation(schema2, xy, values)
+        for bad in (float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                Relation(schema2, xy, [[2.0, 2.0], [0.0, bad], [0.0, 0.0],
+                                       [1.0, 3.0]])
+        with pytest.raises(ValueError, match="finite"):
+            Relation(schema2, [[nan, 1.0]], [[1.0, 1.0]])
+
     def test_site_ids_default(self, schema2):
         rel = Relation.from_rows(schema2, [(1, 2, 3, 4)] * 5)
         assert list(rel.site_ids) == [0, 1, 2, 3, 4]

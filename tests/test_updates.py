@@ -52,6 +52,12 @@ class TestPerturbRelation:
         assert np.array_equal(out.xy, relation.xy)
         assert out.cardinality == relation.cardinality
 
+    def test_non_finite_values_rejected(self, relation):
+        """An infinite quantization step turns every fresh value into
+        NaN; the perturbed relation must not be built."""
+        with pytest.raises(ValueError, match="finite"):
+            perturb_relation(relation, 0.5, seed=7, value_step=float("inf"))
+
     def test_changes_bounded_row_count(self, relation):
         out = perturb_relation(relation, 0.25, seed=3)
         changed = np.any(out.values != relation.values, axis=1).sum()
