@@ -5,14 +5,19 @@ Three sections, one JSON document (``BENCH_world.json``):
 
 * ``micro`` — ``neighbors``, ``reachable_from``, and ``broadcast``
   throughput at m ∈ {20, 50, 100, 200} nodes under RandomWaypoint
-  mobility, epoch-cached neighbor index versus the uncached O(m²)
-  reference path.
+  mobility: the production ``World`` (epoch-cached neighbor index)
+  versus the scalar O(m²) oracle ``repro.net.reference.ScalarWorld``.
 * ``end_to_end`` — full BF and DF query runs at m = 25 (wall-clock
-  cached vs uncached, best-of-k, plus mean in-simulation response
-  latency).
-* ``scale`` — large-m BF flood runs on the wave delivery path:
-  m = 2,025 wave versus the per-receiver/per-node-loop reference
-  (the pre-scale-out hot loop), and a wave-only m = 10,000 point.
+  ``World`` vs ``ScalarWorld``, best-of-k, plus mean in-simulation
+  response latency).
+* ``scale`` — large-m BF flood runs: m = 2,025 on the production
+  ``World`` (vectorised index build + wave delivery) versus
+  ``repro.net.reference.ReferenceWorld`` (Python-loop index build +
+  one event per receiver, the pre-scale-out hot loop), and a
+  production-only m = 10,000 point. Nearly all of the m = 2,025
+  speedup comes from the index build: at 10 s simulated, wave versus
+  per-receiver delivery over the same vectorised index measured within
+  about 10% of each other, while the loop build alone cost ~20x.
 
 Usage::
 
@@ -24,7 +29,8 @@ Usage::
 
 ``--check`` validates an output file against the ``bench_world/v2``
 schema and applies the perf gates — end-to-end cached speedup >= 1.0
-and scale wave speedup >= 5.0 — exiting non-zero on any violation.
+and scale speedup over ``ReferenceWorld`` >= 5.0 — exiting non-zero
+on any violation.
 With ``--baseline`` it additionally fails when a speedup regressed to
 less than half the baseline's (speedups are mode-relative ratios, so a
 smoke run stays comparable against the committed full-run baseline).
@@ -36,13 +42,14 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 SCHEMA_VERSION = "bench_world/v2"
 SIZES = (20, 50, 100, 200)
 MICRO_OPS = ("neighbors", "reachable_from", "broadcast")
-#: Scale points; the reference (per-receiver) run only happens at sizes
-#: <= SCALE_REFERENCE_MAX — beyond that only the wave path is feasible.
+#: Scale points; the ``ReferenceWorld`` run only happens at sizes
+#: <= SCALE_REFERENCE_MAX — beyond that only the production path is
+#: feasible.
 SCALE_SIZES = (2025, 10000)
 SCALE_SIZES_SMOKE = (2025,)
 SCALE_REFERENCE_MAX = 2025
@@ -66,8 +73,8 @@ class _SilentNode:
         pass
 
 
-def _build_world(m: int, seed: int, extent_side: float):
-    from repro.net import RadioConfig, RandomWaypoint, Simulator, World
+def _build_world(m: int, seed: int, extent_side: float, world_cls):
+    from repro.net import RadioConfig, RandomWaypoint, Simulator
 
     sim = Simulator()
     mobility = RandomWaypoint(
@@ -76,7 +83,8 @@ def _build_world(m: int, seed: int, extent_side: float):
         holding_time=30.0,
         seed=seed,
     )
-    world = World(sim, mobility, RadioConfig(radio_range=250.0), seed=seed)
+    world = world_cls(sim, mobility, RadioConfig(radio_range=250.0),
+                      seed=seed)
     for i in range(m):
         world.attach(_SilentNode(i))
     return sim, world
@@ -106,7 +114,8 @@ def _measure(fn, times, min_ops: int) -> Dict[str, float]:
 
 def bench_micro(m: int, smoke: bool) -> Dict[str, Dict[str, float]]:
     """One size point: cached vs uncached throughput for each operation."""
-    from repro.net import Frame, FrameKind
+    from repro.net import Frame, FrameKind, World
+    from repro.net.reference import ScalarWorld
 
     extent_side = _extent_side(m)
     n_times = 10 if smoke else 40
@@ -121,12 +130,12 @@ def bench_micro(m: int, smoke: bool) -> Dict[str, Dict[str, float]]:
     for op in MICRO_OPS:
         cached_ops, uncached_ops = budget[op]
         results = {}
-        for label, min_ops, cached in (
-            ("cached", cached_ops, True),
-            ("uncached", uncached_ops, False),
+        for label, min_ops, world_cls in (
+            ("cached", cached_ops, World),
+            ("uncached", uncached_ops, ScalarWorld),
         ):
-            sim, world = _build_world(m, seed=1234, extent_side=extent_side)
-            world.cache_enabled = cached
+            sim, world = _build_world(m, seed=1234, extent_side=extent_side,
+                                      world_cls=world_cls)
 
             if op == "neighbors":
                 def fn(t, sim=sim, world=world, m=m):
@@ -171,15 +180,16 @@ def bench_micro(m: int, smoke: bool) -> Dict[str, Dict[str, float]]:
 
 
 def bench_end_to_end(smoke: bool) -> Dict[str, Dict[str, float]]:
-    """Full BF/DF runs: wall time cached vs uncached, plus sim latency.
+    """Full BF/DF runs: wall time ``World`` (cached) vs ``ScalarWorld``
+    (uncached), plus sim latency.
 
     Wall times are the best of ``reps`` repeats per mode — the runs are
     seed-deterministic, so the minimum isolates machine noise and keeps
     the cached/uncached ratio stable enough to gate on.
     """
-    from dataclasses import replace
-
     from repro.data import make_global_dataset, generate_workload
+    from repro.net import World
+    from repro.net.reference import ScalarWorld
     from repro.protocol import SimulationConfig, run_manet_simulation
 
     devices = 9 if smoke else 25
@@ -208,12 +218,12 @@ def bench_end_to_end(smoke: bool) -> Dict[str, Dict[str, float]]:
         base = SimulationConfig(strategy=strategy, sim_time=sim_time, seed=9)
         entry: Dict[str, float] = {"reps": float(reps)}
         latencies: List[float] = []
-        for cached in (True, False):
-            config = replace(base, use_neighbor_cache=cached)
+        for cached, world_cls in ((True, World), (False, ScalarWorld)):
             wall = float("inf")
             for _ in range(reps):
                 start = time.perf_counter()
-                result = run_manet_simulation(dataset, workload, config)
+                result = run_manet_simulation(dataset, workload, base,
+                                              world_cls=world_cls)
                 wall = min(wall, time.perf_counter() - start)
             entry["wall_s_cached" if cached else "wall_s_uncached"] = wall
             if cached:
@@ -233,7 +243,7 @@ def bench_end_to_end(smoke: bool) -> Dict[str, Dict[str, float]]:
 # -- scale measurements ------------------------------------------------------
 
 
-def _scale_config(mode: str, bulk: Optional[bool], sim_time: float):
+def _scale_config(sim_time: float):
     from repro.protocol import SimulationConfig
     from repro.protocol.device import ProtocolConfig
 
@@ -244,17 +254,19 @@ def _scale_config(mode: str, bulk: Optional[bool], sim_time: float):
     # query even when the geometric graph is not fully connected.
     return SimulationConfig(
         strategy="bf", sim_time=sim_time, drain_time=sim_time,
-        seed=9, delivery=mode, bulk_index=bulk,
+        seed=9,
         protocol=ProtocolConfig(result_ack=False, completion_quorum=0.45),
     )
 
 
 def bench_scale(m: int, smoke: bool, profiler=None) -> Dict[str, float]:
-    """One large-m BF flood: wave path, and the per-receiver reference
-    when the size still permits it."""
+    """One large-m BF flood: the production world, and the
+    ``ReferenceWorld`` oracle when the size still permits it."""
     from contextlib import nullcontext
 
     from repro.data import QueryRequest, make_global_dataset
+    from repro.net import World
+    from repro.net.reference import ReferenceWorld
     from repro.protocol import run_manet_simulation
     from repro.storage.schema import uniform_schema
 
@@ -271,15 +283,16 @@ def bench_scale(m: int, smoke: bool, profiler=None) -> Dict[str, float]:
     workload = [QueryRequest(device=0, time=1.0, distance=2 * side)]
 
     entry: Dict[str, float] = {"sim_time": sim_time}
-    runs = [("wave", "wave", True)]
+    runs = [("wave", World)]
     if m <= SCALE_REFERENCE_MAX:
-        runs.append(("reference", "per_receiver", False))
+        runs.append(("reference", ReferenceWorld))
     parity = {}
-    for label, mode, bulk in runs:
-        config = _scale_config(mode, bulk, sim_time)
+    config = _scale_config(sim_time)
+    for label, world_cls in runs:
         with phase(f"scale.{label}.m{m}"):
             start = time.perf_counter()
-            result = run_manet_simulation(dataset, workload, config)
+            result = run_manet_simulation(dataset, workload, config,
+                                          world_cls=world_cls)
             wall = time.perf_counter() - start
         entry[f"wall_s_{label}"] = wall
         entry[f"events_{label}"] = float(result.events)
@@ -398,7 +411,8 @@ def gate(doc: dict) -> List[str]:
         if isinstance(speedup, (int, float)) and speedup < MIN_SCALE_SPEEDUP:
             errors.append(
                 f"scale.{key}.speedup {speedup:.2f} < {MIN_SCALE_SPEEDUP} "
-                f"(wave delivery lost its edge over per-receiver)"
+                f"(vectorised index build + wave delivery lost its edge "
+                f"over the loop-built index + per-receiver delivery)"
             )
     return errors
 

@@ -17,7 +17,7 @@ reference bit-for-bit, and the engine heap drains clean.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Type
 
 from ..core.skyline import skyline_of_relation
 from ..data.partition import GlobalDataset, make_global_dataset
@@ -36,7 +36,7 @@ from ..net.mobility import (
     RandomWaypoint,
     StaticPlacement,
 )
-from ..net.world import DELIVERY_MODES, RadioConfig, TrafficStats, World
+from ..net.world import RadioConfig, TrafficStats, World
 from ..obs.observer import Observer
 from ..protocol.device import ProtocolConfig
 from ..resilience import ResiliencePolicy
@@ -183,20 +183,10 @@ class ContinuousConfig:
     )
     speed_range: Tuple[float, float] = DEFAULT_SPEED_RANGE
     holding_time: float = DEFAULT_HOLDING_TIME
-    #: Broadcast delivery mode forwarded to the world — ``"wave"`` /
-    #: ``"per_receiver"`` / ``None`` (environment default). Subscription
-    #: runs are bit-identical across modes; the wave differential suite
-    #: pins it.
-    delivery: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.delivery is not None and self.delivery not in DELIVERY_MODES:
-            raise ValueError(
-                f"delivery must be None or one of {DELIVERY_MODES}, "
-                f"got {self.delivery!r}"
-            )
         if not 0 <= self.originator < self.devices:
             raise ValueError("originator must be a valid device id")
         if self.install_time < 0:
@@ -282,8 +272,14 @@ def run_continuous_simulation(
     mobility: Optional[MobilityModel] = None,
     observer: Optional[Observer] = None,
     keep_network: bool = False,
+    *,
+    world_cls: Type[World] = World,
 ) -> ContinuousResult:
-    """Run one continuous-subscription experiment end to end."""
+    """Run one continuous-subscription experiment end to end.
+
+    ``world_cls`` is a test hook: pass an oracle from
+    :mod:`repro.net.reference` to run the same subscription on it.
+    """
     dataset = make_global_dataset(
         config.cardinality, config.dimensions, config.devices,
         config.distribution, seed=config.seed, value_step=1.0,
@@ -299,9 +295,9 @@ def run_continuous_simulation(
             holding_time=config.holding_time,
             seed=config.seed,
         )
-    world = World(
+    world = world_cls(
         sim, mobility, RadioConfig(loss_rate=config.loss_rate),
-        seed=config.seed, delivery=config.delivery,
+        seed=config.seed,
     )
     devices = [
         ContinuousDevice(

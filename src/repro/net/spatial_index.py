@@ -20,12 +20,12 @@ module memoises the answer per simulation time:
   adjacent (Chebyshev distance <= 1), so adjacency construction inspects
   each cell pair once instead of every node pair: the same
   comparison-space pruning the skyline literature applies to dominance
-  tests, applied here to unit-disk neighborhood tests. The bulk build
+  tests, applied here to unit-disk neighborhood tests. The build
   enumerates all candidate pairs with array arithmetic (no Python loop
-  over cells or pairs) and emits CSR adjacency; the pre-existing
-  Python-loop build is retained as the reference (``bulk=False`` or
-  ``REPRO_BULK_INDEX=0``) and the differential suite pins both paths
-  bit-identical.
+  over cells or pairs) and emits CSR adjacency. The original
+  Python-loop build survives only as an oracle in
+  :mod:`repro.net.reference`, and the differential suite pins both
+  builds bit-identical.
 * **Epoch layer** — fault state (crashed nodes, link blackouts) and
   topology changes (late ``attach``) bump a generation counter; the
   adjacency cache is keyed on ``(sim.now, epoch, radio_range)`` so fault
@@ -36,13 +36,11 @@ order, broadcast delivery order, and therefore event sequence numbers
 depend only on the topology — never on the order nodes were attached.
 The in-range predicate is the squared-distance test
 ``dx*dx + dy*dy <= r*r`` evaluated in IEEE float64, bit-identical
-between the cached (vectorised) and uncached (scalar) paths.
+between this index (vectorised) and the scalar oracle.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -57,7 +55,7 @@ __all__ = ["NeighborIndex"]
 _HALF_NEIGHBORHOOD = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 #: Distinct single-row queries tolerated per adjacency key before the
-#: index gives up on lazy rows and performs the full bulk build.
+#: index gives up on lazy rows and performs the full build.
 _ROW_BUILD_THRESHOLD = 8
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -90,18 +88,9 @@ class NeighborIndex:
     the world's live fault state (``_down``, ``_blackouts``) at rebuild
     time; the world bumps :attr:`epoch` via :meth:`invalidate` whenever
     that state (or the attached-node set) changes.
-
-    Args:
-        world: The owning world.
-        bulk: Use the vectorised all-pairs build + CSR adjacency
-            (default) or the Python-loop reference build. ``None``
-            consults ``REPRO_BULK_INDEX`` (any value but ``0`` enables).
     """
 
-    def __init__(self, world: "World", bulk: Optional[bool] = None) -> None:
-        if bulk is None:
-            bulk = os.environ.get("REPRO_BULK_INDEX", "1") != "0"
-        self.bulk = bulk
+    def __init__(self, world: "World") -> None:
         self._world = world
         self._epoch = 0
         self._rebuilds = 0
@@ -111,23 +100,17 @@ class NeighborIndex:
         self._pos: Optional[np.ndarray] = None
         # adjacency layer, keyed by (time, epoch, radio range)
         self._adj_key: Optional[Tuple[float, int, float]] = None
-        # reference-path products (python dicts of sorted lists)
-        self._geom: Dict[int, List[int]] = {}
-        self._eff: Dict[int, List[int]] = {}
-        # bulk-path products: CSR adjacency in index space over the
-        # sorted attached-id array, plus lazily materialised lists
+        # CSR adjacency in index space over the sorted attached-id
+        # array, plus lazily materialised lists
         self._ids: Optional[np.ndarray] = None
         self._ids_epoch = -1
         self._ids_arange = True
         self._idx_of: Optional[Dict[int, int]] = None
         self._eff_indptr: Optional[np.ndarray] = None
         self._eff_nbr: Optional[np.ndarray] = None
-        self._geom_indptr: Optional[np.ndarray] = None
-        self._geom_nbr: Optional[np.ndarray] = None
         self._eff_edges: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._eff_lists: Dict[int, List[int]] = {}
-        self._geom_lists: Dict[int, List[int]] = {}
-        # lazy row cache (bulk path only)
+        # lazy row cache
         self._row_key: Optional[Tuple[float, int, float]] = None
         self._rows: Dict[int, List[int]] = {}
 
@@ -192,15 +175,10 @@ class NeighborIndex:
 
         The list is the cache's own — callers must not mutate it.
         """
-        world = self._world
-        if node not in world._nodes:
-            # Unattached node: answer geometrically against the attached
-            # set (legacy World.neighbors semantics), without polluting
-            # the cache.
-            return world._uncached_neighbors(node)
-        if not self.bulk:
-            self._ensure()
-            return self._eff[node]
+        if node not in self._world._nodes:
+            # Unattached node: answer against the attached set (legacy
+            # World.neighbors semantics), without polluting the cache.
+            return self._compute_row(node)
         key = self._key()
         if self._adj_key == key:
             return self._eff_list(node)
@@ -217,30 +195,9 @@ class NeighborIndex:
         self._rows[node] = row
         return row
 
-    def geometric_neighbors(self, node: int) -> List[int]:
-        """In-range neighbor ids ignoring fault state, sorted ascending."""
-        if node not in self._world._nodes:
-            return [
-                other
-                for other in sorted(self._world._nodes)
-                if self._world.in_range(node, other)
-            ]
-        self._ensure()
-        if not self.bulk:
-            return self._geom[node]
-        lst = self._geom_lists.get(node)
-        if lst is None:
-            i = self._idx(node)
-            sl = self._geom_nbr[self._geom_indptr[i]:self._geom_indptr[i + 1]]
-            lst = self._ids[sl].tolist()
-            self._geom_lists[node] = lst
-        return lst
-
     def reachable_from(self, node: int) -> set:
         """Transitive fault-aware closure of ``node`` (BFS, includes it)."""
         self._ensure()
-        if not self.bulk:
-            return self._reachable_from_lists(node)
         indptr = self._eff_indptr
         nbr = self._eff_nbr
         n = len(self._ids)
@@ -266,38 +223,11 @@ class NeighborIndex:
             seen[frontier] = True
         return set(self._ids[np.flatnonzero(seen)].tolist())
 
-    def _reachable_from_lists(self, node: int) -> set:
-        """Python-loop BFS — kept as the ground truth the vectorised
-        frontier expansion is compared against. Reads the adjacency
-        through the same per-node rows as :meth:`neighbors`, so it works
-        against either build mode."""
-        self._ensure()
-        row = (self._eff_list if self.bulk
-               else lambda n: self._eff.get(n, ()))
-        seen = {node}
-        frontier = [node]
-        while frontier:
-            nxt = []
-            for current in frontier:
-                for other in row(current):
-                    if other not in seen:
-                        seen.add(other)
-                        nxt.append(other)
-            frontier = nxt
-        return seen
-
     def edges(self) -> List[Tuple[int, int]]:
         """Every fault-aware link as an ``(i, j)`` id pair with
         ``i < j`` — the bulk query ``connectivity_snapshot`` consumes
         instead of probing every node's neighbor list."""
         self._ensure()
-        if not self.bulk:
-            return [
-                (i, j)
-                for i, lst in self._eff.items()
-                for j in lst
-                if i < j
-            ]
         lo, hi = self._eff_edges
         return list(zip(lo.tolist(), hi.tolist()))
 
@@ -370,26 +300,33 @@ class NeighborIndex:
         return lst
 
     def _build(self, key: Tuple[float, int, float]) -> None:
-        if self.bulk:
-            self._build_bulk(key)
+        """Full build: CSR adjacency plus the undirected edge list."""
+        n = len(self._ids_array())
+        a, b = self._effective_pairs() if n else (_EMPTY_I64, _EMPTY_I64)
+        self._eff_indptr, self._eff_nbr = self._csr(a, b, n)
+        if len(a):
+            ids = self._ids
+            ida = ids[a]
+            idb = ids[b]
+            lo = np.minimum(ida, idb)
+            hi = np.maximum(ida, idb)
+            edge_order = np.lexsort((hi, lo))
+            self._eff_edges = (lo[edge_order], hi[edge_order])
         else:
-            self._build_reference(key)
+            self._eff_edges = (_EMPTY_I64, _EMPTY_I64)
+        self._eff_lists = {}
+        self._adj_key = key
+        self._rebuilds += 1
 
-    def _build_bulk(self, key: Tuple[float, int, float]) -> None:
-        """Vectorised full build: grid bucketing, candidate-pair
-        enumeration, and range testing all happen in array arithmetic;
-        the result is CSR adjacency plus the undirected edge list."""
+    def _effective_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every fault-aware link once, as index pairs into the sorted
+        attached-id array. Grid bucketing, candidate-pair enumeration,
+        range and fault testing all happen in array arithmetic."""
         world = self._world
-        pos_all = self.positions()
-        ids = self._ids_array()
+        ids = self._ids
         n = len(ids)
         r = world.radio.radio_range
-        if n == 0:
-            self._install_bulk(_EMPTY_I64, _EMPTY_I64, 0)
-            self._adj_key = key
-            self._rebuilds += 1
-            return
-        pos = pos_all[ids]
+        pos = self.positions()[ids]
         cx = np.floor(pos[:, 0] / r).astype(np.int64)
         cy = np.floor(pos[:, 1] / r).astype(np.int64)
         # Collision-free cell keys with a one-cell guard band so the
@@ -469,34 +406,7 @@ class NeighborIndex:
                 enc = lo * encode_base + hi
                 valid &= ~np.isin(enc, np.asarray(bl, dtype=np.int64))
 
-        self._install_bulk(a, b, n, a[valid], b[valid])
-        self._adj_key = key
-        self._rebuilds += 1
-
-    def _install_bulk(
-        self,
-        geom_a: np.ndarray,
-        geom_b: np.ndarray,
-        n: int,
-        eff_a: Optional[np.ndarray] = None,
-        eff_b: Optional[np.ndarray] = None,
-    ) -> None:
-        if eff_a is None:
-            eff_a, eff_b = geom_a, geom_b
-        self._geom_indptr, self._geom_nbr = self._csr(geom_a, geom_b, n)
-        self._eff_indptr, self._eff_nbr = self._csr(eff_a, eff_b, n)
-        ids = self._ids if self._ids is not None else _EMPTY_I64
-        if len(eff_a):
-            ida = ids[eff_a]
-            idb = ids[eff_b]
-            lo = np.minimum(ida, idb)
-            hi = np.maximum(ida, idb)
-            edge_order = np.lexsort((hi, lo))
-            self._eff_edges = (lo[edge_order], hi[edge_order])
-        else:
-            self._eff_edges = (_EMPTY_I64, _EMPTY_I64)
-        self._eff_lists = {}
-        self._geom_lists = {}
+        return a[valid], b[valid]
 
     @staticmethod
     def _csr(a: np.ndarray, b: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -510,85 +420,3 @@ class NeighborIndex:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return indptr, dst
-
-    def _build_reference(self, key: Tuple[float, int, float]) -> None:
-        """The original Python-loop build (cells dict, per-pair appends,
-        per-node fault filtering) — the reference the bulk build is
-        differentially tested against."""
-        world = self._world
-        pos = self.positions()
-        ids = sorted(world._nodes)
-        r = world.radio.radio_range
-        r2 = r * r
-        geom: Dict[int, List[int]] = {i: [] for i in ids}
-
-        # Spatial hash: cell side = radio range, so candidates live in
-        # the 3x3 neighborhood of a node's cell.
-        cells: Dict[Tuple[int, int], List[int]] = {}
-        for i in ids:
-            cell = (
-                int(math.floor(pos[i, 0] / r)),
-                int(math.floor(pos[i, 1] / r)),
-            )
-            cells.setdefault(cell, []).append(i)
-
-        cand_a: List[int] = []
-        cand_b: List[int] = []
-        for (cx, cy), members in cells.items():
-            for idx, u in enumerate(members):
-                for v in members[idx + 1:]:
-                    cand_a.append(u)
-                    cand_b.append(v)
-            for ox, oy in _HALF_NEIGHBORHOOD:
-                other = cells.get((cx + ox, cy + oy))
-                if not other:
-                    continue
-                for u in members:
-                    for v in other:
-                        cand_a.append(u)
-                        cand_b.append(v)
-        if cand_a:
-            a = np.asarray(cand_a, dtype=np.int64)
-            b = np.asarray(cand_b, dtype=np.int64)
-            dx = pos[a, 0] - pos[b, 0]
-            dy = pos[a, 1] - pos[b, 1]
-            hits = (dx * dx + dy * dy) <= r2
-            for u, v in zip(a[hits], b[hits]):
-                geom[int(u)].append(int(v))
-                geom[int(v)].append(int(u))
-
-        down = world._down
-        blackouts = world._blackouts
-        partitions = world._partitions
-        # Partition cuts assign every node a side signature; two nodes
-        # communicate only when their signatures match. The >= test on
-        # the memoised float64 positions is identical to the scalar
-        # reference path in World._same_partition_side.
-        side: Dict[int, Tuple[bool, ...]] = {}
-        if partitions:
-            for i in ids:
-                side[i] = tuple(
-                    bool(pos[i, 0 if axis == "x" else 1] >= coord)
-                    for axis, coord in partitions
-                )
-        eff: Dict[int, List[int]] = {}
-        for i in ids:
-            geom[i].sort()
-            if i in down:
-                eff[i] = []
-            elif blackouts or partitions:
-                eff[i] = [
-                    j
-                    for j in geom[i]
-                    if j not in down
-                    and frozenset((i, j)) not in blackouts
-                    and (not partitions or side[j] == side[i])
-                ]
-            elif down:
-                eff[i] = [j for j in geom[i] if j not in down]
-            else:
-                eff[i] = geom[i][:]
-        self._geom = geom
-        self._eff = eff
-        self._adj_key = key
-        self._rebuilds += 1

@@ -8,7 +8,7 @@ workload through it, enforcing the paper's one-query-in-progress rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Type
 
 from ..data.partition import GlobalDataset
 from ..data.workload import QueryRequest
@@ -26,7 +26,7 @@ from ..net.mobility import (
     MobilityModel,
     RandomWaypoint,
 )
-from ..net.world import DELIVERY_MODES, RadioConfig, TrafficStats, World
+from ..net.world import RadioConfig, TrafficStats, World
 from ..obs.observer import Observer
 from .device import BFDevice, DFDevice, ProtocolConfig, QueryRecord, SkylineDevice
 
@@ -57,21 +57,6 @@ class SimulationConfig:
             relation perturbations applied to devices mid-run (the
             continuous layer's event source; one-shot runs accept it
             too, so a query can race a data update).
-        use_neighbor_cache: Answer connectivity queries from the world's
-            epoch-cached neighbor index (default) or the uncached O(m²)
-            reference path. Both produce bit-identical runs — the flag
-            exists for differential tests and benchmarks.
-        delivery: Broadcast delivery mode — ``"wave"`` (one engine event
-            per broadcast wave, the scale-out fast path) or
-            ``"per_receiver"`` (one event per receiver, the reference).
-            ``None`` defers to the ``REPRO_DELIVERY`` environment
-            variable, then ``"wave"``. Runs are bit-identical across
-            modes in every result-bearing counter (the differential
-            suite pins this); only the engine's raw event tally differs.
-        bulk_index: Neighbor-index build mode — ``True`` for the
-            vectorised all-pairs build (default), ``False`` for the
-            Python-loop reference, ``None`` to defer to
-            ``REPRO_BULK_INDEX``.
     """
 
     strategy: str = "bf"
@@ -85,19 +70,11 @@ class SimulationConfig:
     drain_time: float = 120.0
     faults: Optional[FaultSchedule] = None
     updates: Optional[DataUpdateSchedule] = None
-    use_neighbor_cache: bool = True
-    delivery: Optional[str] = None
-    bulk_index: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}"
-            )
-        if self.delivery is not None and self.delivery not in DELIVERY_MODES:
-            raise ValueError(
-                f"delivery must be None or one of {DELIVERY_MODES}, "
-                f"got {self.delivery!r}"
             )
         if self.sim_time <= 0:
             raise ValueError("sim_time must be > 0")
@@ -141,8 +118,14 @@ def build_network(
     dataset: GlobalDataset,
     config: SimulationConfig,
     mobility: Optional[MobilityModel] = None,
+    *,
+    world_cls: Type[World] = World,
 ) -> Tuple[Simulator, World, List[SkylineDevice]]:
-    """Construct the simulator, world, and one device per partition."""
+    """Construct the simulator, world, and one device per partition.
+
+    ``world_cls`` is a test hook: pass an oracle from
+    :mod:`repro.net.reference` to run the same network on it.
+    """
     sim = Simulator()
     if mobility is None:
         mobility = RandomWaypoint(
@@ -157,12 +140,7 @@ def build_network(
             f"mobility tracks {mobility.node_count} nodes but the dataset "
             f"has {dataset.devices} partitions"
         )
-    world = World(
-        sim, mobility, config.radio, seed=config.seed,
-        cache=config.use_neighbor_cache,
-        delivery=config.delivery,
-        bulk_index=config.bulk_index,
-    )
+    world = world_cls(sim, mobility, config.radio, seed=config.seed)
     device_cls = BFDevice if config.strategy == "bf" else DFDevice
     devices: List[SkylineDevice] = [
         device_cls(
@@ -182,6 +160,8 @@ def run_manet_simulation(
     max_events: Optional[int] = None,
     observer: Optional[Observer] = None,
     keep_network: bool = False,
+    *,
+    world_cls: Type[World] = World,
 ) -> SimulationResult:
     """Run a full MANET experiment.
 
@@ -200,12 +180,16 @@ def run_manet_simulation(
         keep_network: Retain ``(sim, world, devices)`` on the result's
             ``network`` field so post-run checks (the chaos invariant
             suite) can inspect the drained engine heap and device state.
+        world_cls: Test hook selecting the world class; pass an oracle
+            from :mod:`repro.net.reference` for differential runs.
 
     Returns:
         A :class:`SimulationResult` with every query record and the
         global traffic statistics.
     """
-    sim, world, devices = build_network(dataset, config, mobility)
+    sim, world, devices = build_network(
+        dataset, config, mobility, world_cls=world_cls
+    )
     if observer is not None:
         observer.bind(world)
     injector: Optional[FaultInjector] = None

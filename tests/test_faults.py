@@ -19,6 +19,7 @@ from repro.net import (
     StaticPlacement,
     World,
 )
+from repro.net.reference import ScalarWorld
 from repro.net.trace import Tracer
 
 
@@ -415,11 +416,10 @@ class TestPartitionFaults:
 
     def test_cached_and_uncached_sides_agree(self):
         positions = [(50.0 * i, 40.0 * ((i * 7) % 5)) for i in range(12)]
-        for cached in (True, False):
+        for cached, world_cls in ((True, World), (False, ScalarWorld)):
             sim = Simulator()
-            world = World(
-                sim, StaticPlacement(positions), RadioConfig(),
-                seed=0, cache=cached,
+            world = world_cls(
+                sim, StaticPlacement(positions), RadioConfig(), seed=0,
             )
             for i in range(len(positions)):
                 Recorder(world, i)

@@ -1,9 +1,11 @@
 """Differential tests for the epoch-cached neighbor index.
 
 The cached path (position memo + spatial hash grid + epoch
-invalidation) must agree *bit for bit* with the uncached O(m²)
-reference path — across random-waypoint motion, node crashes and
-recoveries, and link blackouts, at hundreds of sampled times.
+invalidation) must agree *bit for bit* with the scalar O(m²) oracle
+:class:`~repro.net.reference.ScalarWorld` — across random-waypoint
+motion, node crashes and recoveries, and link blackouts, at hundreds of
+sampled times — for both the vectorised build and the Python-loop build
+of :class:`~repro.net.reference.ReferenceWorld`.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.net import (
     StaticPlacement,
     World,
 )
+from repro.net.reference import ReferenceWorld, ScalarWorld
 
 
 class Recorder:
@@ -33,56 +36,62 @@ class Recorder:
 
 
 def waypoint_world(m=24, seed=11, radio_range=180.0, extent=(0, 0, 600, 600),
-                   bulk=None):
+                   world_cls=World):
     sim = Simulator()
     mobility = RandomWaypoint(
         node_count=m, extent=extent, holding_time=5.0, seed=seed
     )
-    world = World(sim, mobility, RadioConfig(radio_range=radio_range),
-                  seed=seed, bulk_index=bulk)
+    world = world_cls(sim, mobility, RadioConfig(radio_range=radio_range),
+                      seed=seed)
     nodes = [Recorder(world, i) for i in range(m)]
     return sim, world, nodes
 
 
+def scalar_twin(world):
+    """The scalar oracle over ``world``'s clock, mobility, attached nodes
+    and fault state."""
+    twin = ScalarWorld(world.sim, world.mobility, world.radio)
+    twin._nodes = dict(world._nodes)
+    twin._down = set(world._down)
+    twin._blackouts = set(world._blackouts)
+    twin._partitions = list(world._partitions)
+    return twin
+
+
 def assert_world_agrees(world):
-    """Cached answers == uncached reference answers, for every node."""
+    """Cached answers == scalar oracle answers, for every node."""
+    oracle = scalar_twin(world)
     ids = world.node_ids
     for i in ids:
-        assert world.neighbors(i) == world._uncached_neighbors(i), (
+        assert world.neighbors(i) == oracle.neighbors(i), (
             f"neighbors({i}) diverged at t={world.sim.now}"
         )
     for i in ids:
-        assert world.reachable_from(i) == world._uncached_reachable_from(i), (
+        assert world.reachable_from(i) == oracle.reachable_from(i), (
             f"reachable_from({i}) diverged at t={world.sim.now}"
         )
     g = world.connectivity_snapshot()
     expected_edges = {
-        (i, j) for i in ids for j in world._uncached_neighbors(i) if i < j
+        tuple(sorted(e)) for e in oracle.connectivity_snapshot().edges
     }
     assert {tuple(sorted(e)) for e in g.edges} == expected_edges
     assert set(g.nodes) == set(ids)
-    # The index's bulk edge list must agree with the per-node answers,
-    # arrive sorted, and match the frontier-expansion reference.
+    # The index's bulk edge list must agree with the per-node answers
+    # and arrive sorted.
     edges = world._index.edges()
     assert set(edges) == expected_edges
     assert edges == sorted(edges)
-    for i in ids:
-        assert (world._index.reachable_from(i)
-                == world._index._reachable_from_lists(i)), (
-            f"vectorised reachable_from({i}) != list reference "
-            f"at t={world.sim.now}"
-        )
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("bulk", [True, False],
+    @pytest.mark.parametrize("world_cls", [World, ReferenceWorld],
                              ids=["bulk-build", "reference-build"])
-    def test_motion_and_faults_200_sampled_times(self, bulk):
+    def test_motion_and_faults_200_sampled_times(self, world_cls):
         """≥200 sampled times under RWP motion with churn and blackouts,
         for both the vectorised all-pairs build and the Python-loop
         reference build."""
         m = 24
-        sim, world, _ = waypoint_world(m=m, seed=11, bulk=bulk)
+        sim, world, _ = waypoint_world(m=m, seed=11, world_cls=world_cls)
         rng = np.random.default_rng(42)
         times = np.sort(rng.uniform(0.0, 900.0, size=220))
         for k, t in enumerate(times):
@@ -136,7 +145,7 @@ class TestDifferential:
         assert world.connectivity_epoch == epoch
 
     def test_cache_disabled_world_matches_cached_world(self):
-        """The public API of a cache=False world equals a cached twin's."""
+        """The public API of the scalar oracle equals a cached twin's."""
         m = 12
         mob_kwargs = dict(node_count=m, extent=(0, 0, 500, 500), seed=3)
         sim_a = Simulator()
@@ -144,11 +153,10 @@ class TestDifferential:
             sim_a, RandomWaypoint(**mob_kwargs), RadioConfig(radio_range=200)
         )
         sim_b = Simulator()
-        world_b = World(
+        world_b = ScalarWorld(
             sim_b,
             RandomWaypoint(**mob_kwargs),
             RadioConfig(radio_range=200),
-            cache=False,
         )
         for i in range(m):
             Recorder(world_a, i)
@@ -246,13 +254,19 @@ class TestAttachOrderDeterminism:
         assert results[0][0] == sorted(results[0][0])
 
 
+class LoopBuiltIndexWorld(ReferenceWorld):
+    """The Python-loop index build with production wave delivery, so the
+    engine event tally must match too."""
+
+    _fan_out = World._fan_out
+
+
 class TestEndToEndDifferential:
     @pytest.mark.parametrize("strategy", ["bf", "df"])
     def test_full_simulation_identical_with_and_without_cache(self, strategy):
         """An entire MANET run (mobility, AODV, skyline protocol, fault
-        schedule) replays bit-identically on cached and uncached worlds."""
-        from dataclasses import replace
-
+        schedule) replays bit-identically on the production world, the
+        loop-built index and the scalar oracle."""
         from repro.data import QueryRequest, make_global_dataset
         from repro.faults import FaultSchedule
         from repro.protocol import SimulationConfig, run_manet_simulation
@@ -273,15 +287,14 @@ class TestEndToEndDifferential:
             strategy=strategy, sim_time=200.0, seed=99, faults=faults,
         )
         variants = {
-            "cached-bulk": dict(use_neighbor_cache=True, bulk_index=True),
-            "cached-reference": dict(use_neighbor_cache=True,
-                                     bulk_index=False),
-            "uncached": dict(use_neighbor_cache=False),
+            "cached-bulk": World,
+            "cached-reference": LoopBuiltIndexWorld,
+            "uncached": ScalarWorld,
         }
         outs = {}
-        for name, overrides in variants.items():
-            config = replace(base, **overrides)
-            outs[name] = run_manet_simulation(dataset, workload, config)
+        for name, world_cls in variants.items():
+            outs[name] = run_manet_simulation(dataset, workload, base,
+                                              world_cls=world_cls)
         a = outs["cached-bulk"]
         for b in (outs["cached-reference"], outs["uncached"]):
             assert a.events == b.events

