@@ -7,7 +7,6 @@ from .assembly import (
 )
 from .dominance import (
     ComparisonCounter,
-    any_dominator,
     dominance_mask,
     dominates,
     dominates_or_equal,
@@ -62,7 +61,6 @@ __all__ = [
     "QueryLog",
     "SkylineAssembler",
     "SkylineQuery",
-    "any_dominator",
     "dominance_mask",
     "dominates",
     "dominates_or_equal",

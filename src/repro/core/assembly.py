@@ -14,8 +14,9 @@ Two execution paths produce bit-identical results:
   maintains a running ``(xy, values, site_ids)`` array triple plus its
   normalization, eliminates duplicates against a persistent location
   set (one hash lookup per incoming row instead of rebuilding the set
-  per merge), and resolves dominance in ``(block, block)`` tiles so peak
-  memory is bounded regardless of skyline size;
+  per merge), and resolves dominance with the tiled
+  :func:`~repro.core.dominance.dominated_mask` kernel so peak memory is
+  bounded regardless of skyline size;
 * the **legacy** path (:func:`merge_skylines` with ``block=None`` and
   :class:`SkylineAssembler` in ``mode="legacy"``) rebuilds a
   :class:`~repro.storage.relation.Relation` per contribution with one
@@ -35,17 +36,13 @@ import numpy as np
 
 from ..storage.relation import Relation
 from ..storage.schema import RelationSchema
+from .dominance import DEFAULT_BLOCK, dominated_mask
 
 __all__ = [
     "merge_skylines",
     "SkylineAssembler",
     "ASSEMBLERS",
-    "DEFAULT_MERGE_BLOCK",
 ]
-
-#: Default chunk edge for the blocked dominance pass: peak intermediate
-#: memory is ``block² · d`` booleans per comparison direction.
-DEFAULT_MERGE_BLOCK = 512
 
 #: Recognized assembler modes: the production path and its oracle.
 ASSEMBLERS = ("incremental", "legacy")
@@ -57,45 +54,24 @@ def _dominated_by(
     """Mask over ``targets`` rows strictly dominated by some ``by`` row.
 
     Both inputs are in minimization space. ``block=None`` runs one
-    unbounded broadcast (the legacy reference); an integer runs the same
-    elementwise comparisons in ``(block, block)`` tiles — identical
-    output, bounded peak memory.
+    unbounded broadcast (the legacy reference); an integer runs the
+    production kernel :func:`~repro.core.dominance.dominated_mask` —
+    identical output, bounded peak memory.
     """
+    if block is not None:
+        return dominated_mask(by, targets, block)
     n_targets = targets.shape[0]
     if by.shape[0] == 0 or n_targets == 0:
         return np.zeros(n_targets, dtype=bool)
-    if block is None:
-        no_worse = (by[:, None, :] <= targets[None, :, :]).all(axis=2)
-        better = (by[:, None, :] < targets[None, :, :]).any(axis=2)
-        return (no_worse & better).any(axis=0)
-    out = np.zeros(n_targets, dtype=bool)
-    dims = by.shape[1]
-    for j in range(0, n_targets, block):
-        tgt = targets[j : j + block]
-        # Bound the broadcast intermediates to block² elements per
-        # attribute: when one side is short, the other side's chunk
-        # grows to compensate, so a lopsided comparison (a handful of
-        # incoming rows against a big running skyline) still runs in a
-        # single numpy pass instead of many tiny tiles.
-        rows = max(block, (block * block) // tgt.shape[0])
-        for i in range(0, by.shape[0], rows):
-            blk = by[i : i + rows]
-            # Attribute-at-a-time 2-D comparisons: the equivalent
-            # (R, T, d) broadcast forces numpy onto a strided inner
-            # loop that is an order of magnitude slower here.
-            no_worse = blk[:, 0:1] <= tgt[:, 0]
-            better = blk[:, 0:1] < tgt[:, 0]
-            for a in range(1, dims):
-                no_worse &= blk[:, a : a + 1] <= tgt[:, a]
-                better |= blk[:, a : a + 1] < tgt[:, a]
-            out[j : j + block] |= (no_worse & better).any(axis=0)
-    return out
+    no_worse = (by[:, None, :] <= targets[None, :, :]).all(axis=2)
+    better = (by[:, None, :] < targets[None, :, :]).any(axis=2)
+    return (no_worse & better).any(axis=0)
 
 
 def merge_skylines(
     current: Relation,
     incoming: Relation,
-    block: Optional[int] = DEFAULT_MERGE_BLOCK,
+    block: Optional[int] = DEFAULT_BLOCK,
 ) -> Relation:
     """Merge an incoming partial skyline into the current one.
 
@@ -191,7 +167,7 @@ class SkylineAssembler:
         initial: Optional[Relation] = None,
         *,
         mode: str = "incremental",
-        block: int = DEFAULT_MERGE_BLOCK,
+        block: int = DEFAULT_BLOCK,
     ):
         if mode not in ASSEMBLERS:
             raise ValueError(

@@ -30,10 +30,12 @@ import numpy as np
 
 from ..storage.relation import Relation
 from ..storage.schema import Preference, RelationSchema, SiteTuple
+from .dominance import dominance_mask
 
 __all__ = [
     "Estimation",
     "FilteringTuple",
+    "filter_prune_mask",
     "vdr",
     "vdr_matrix",
     "estimation_bounds",
@@ -75,6 +77,19 @@ class FilteringTuple:
     def values(self) -> Tuple[float, ...]:
         """Non-spatial attribute values used for pruning."""
         return self.site.values
+
+
+def filter_prune_mask(
+    flt: FilteringTuple, point: Sequence[float], values: np.ndarray, xy: np.ndarray
+) -> np.ndarray:
+    """Rows the filter pass of Figure 4 removes from a local skyline.
+
+    A row goes when ``point`` — the filter's values, in the same space as
+    ``values`` — strictly dominates it, or when it sits at the filter's
+    own site (a duplicate copy of the filtering tuple).
+    """
+    same_site = (xy[:, 0] == flt.site.x) & (xy[:, 1] == flt.site.y)
+    return dominance_mask(point, values) | same_site
 
 
 def normalize_values(

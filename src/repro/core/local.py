@@ -33,10 +33,14 @@ Every storage model has **two** implementations of this pipeline:
 
 ``"fast"`` is the production path and the default; the ``reference``
 loops are the oracle of the differential tests and the local benchmark,
-selected only by an explicit ``path="reference"`` argument. A separate
-vectorised variant over raw relations (:func:`local_skyline_vectorized`)
-remains for mixed-preference schemas and the large simulation
-experiments.
+selected only by an explicit ``path="reference"`` argument. Both fast
+kernels, and every filter pass, run their dominance tests through the
+block kernels of :mod:`repro.core.dominance`.
+
+:func:`local_skyline_vectorized` runs the same pipeline over a raw
+relation in normalized (minimization) space. It is the default
+processor of the simulations (``ProtocolConfig.processor="vectorized"``)
+and the one that handles mixed-preference schemas.
 """
 
 from __future__ import annotations
@@ -52,11 +56,17 @@ from ..storage.base import AccessStats, StorageModel
 from ..storage.flat import FlatStorage
 from ..storage.hybrid import HybridStorage
 from ..storage.relation import Relation
-from .dominance import ComparisonCounter
+from .dominance import (
+    DEFAULT_BLOCK,
+    ComparisonCounter,
+    dominance_matrix,
+    dominates_values,
+)
 from .filtering import (
     Estimation,
     FilteringTuple,
     estimation_bounds,
+    filter_prune_mask,
     normalize_values,
     promote_filter,
     vdr,
@@ -75,11 +85,6 @@ __all__ = [
 
 #: Recognized local-processing path names.
 LOCAL_PATHS = ("fast", "reference")
-
-#: Default candidate/window tile edge for the fast kernels. 512 keeps
-#: every intermediate dominance matrix under ~256 KiB of bools while
-#: leaving enough rows per tile to amortize numpy dispatch.
-DEFAULT_BLOCK = 512
 
 
 class LocalResultCache:
@@ -264,26 +269,8 @@ def local_skyline(
 
 
 # ---------------------------------------------------------------------------
-# Tiled dominance kernels (the fast path's engine)
+# Tiled window scans (the fast path's engine)
 # ---------------------------------------------------------------------------
-
-
-def _dom_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``out[i, j]`` — row ``a[i]`` dominates row ``b[j]``.
-
-    Attribute-at-a-time 2-D broadcasts (the repo's established fast
-    idiom — materially quicker than one 3-D broadcast for the paper's
-    2–5 attribute schemas). Works on integer ID rows and raw value rows
-    alike; dominance is all-``<=`` with at least one ``<``.
-    """
-    no_worse = np.ones((a.shape[0], b.shape[0]), dtype=bool)
-    better = np.zeros((a.shape[0], b.shape[0]), dtype=bool)
-    for j in range(a.shape[1]):
-        col_a = a[:, j][:, None]
-        col_b = b[:, j][None, :]
-        no_worse &= col_a <= col_b
-        better |= col_a < col_b
-    return no_worse & better
 
 
 def _tile_spans(total: int, block: int) -> List[Tuple[int, int]]:
@@ -340,7 +327,7 @@ def _sfs_scan_sorted(ids: np.ndarray, block: int) -> Tuple[np.ndarray, int]:
             if sub.size == 0:
                 break
             chunk = win[wstart:wstart + block]
-            dom = _dom_matrix(ids[chunk], tile[sub])
+            dom = dominance_matrix(ids[chunk], tile[sub])
             anyd = dom.any(axis=0)
             first = dom.argmax(axis=0)
             examined[sub] += np.where(anyd, first + 1, len(chunk))
@@ -348,7 +335,7 @@ def _sfs_scan_sorted(ids: np.ndarray, block: int) -> Tuple[np.ndarray, int]:
         sub = np.nonzero(alive)[0]
         if sub.size:
             sub_ids = tile[sub]
-            dom = _dom_matrix(sub_ids, sub_ids)  # upper-triangular by sort order
+            dom = dominance_matrix(sub_ids, sub_ids)  # upper-triangular by sort order
             member = ~dom.any(axis=0)
             ranks = member.cumsum()
             dom_members = dom[member, :]
@@ -402,7 +389,7 @@ def _bnl_scan(values: np.ndarray, block: int) -> Tuple[np.ndarray, int]:
         win_dom_any = np.zeros(m, dtype=bool)
         for wstart in range(0, len(win), block):
             chunk = win[wstart:wstart + block]
-            dom_wt = _dom_matrix(values[chunk], tile)  # member dominates cand.
+            dom_wt = dominance_matrix(values[chunk], tile)  # member dominates cand.
             chunks.append((chunk, dom_wt))
             win_dom_any |= dom_wt.any(axis=0)
 
@@ -416,7 +403,7 @@ def _bnl_scan(values: np.ndarray, block: int) -> Tuple[np.ndarray, int]:
         examined = np.zeros(m, dtype=np.int64)
         done = np.zeros(m, dtype=bool)
         if cand.size:
-            dom_ct = _dom_matrix(tile[cand], tile)  # [i, t]: cand[i] dom t
+            dom_ct = dominance_matrix(tile[cand], tile)  # [i, t]: cand[i] dom t
             dom_cc = dom_ct[:, cand]
             earlier = cand[:, None] < cand[None, :]  # [i, k]: cand[i] < cand[k]
             added_c = ~(dom_cc & earlier).any(axis=0)
@@ -437,7 +424,7 @@ def _bnl_scan(values: np.ndarray, block: int) -> Tuple[np.ndarray, int]:
         survivors: List[np.ndarray] = []
         for chunk, dom_wt in chunks:
             if cand.size:
-                dom_cw = _dom_matrix(tile[cand], values[chunk])
+                dom_cw = dominance_matrix(tile[cand], values[chunk])
                 evict_w = added_c[:, None] & dom_cw  # [i, member]
                 ev_w = np.where(
                     evict_w.any(axis=0), cand[evict_w.argmax(axis=0)], m
@@ -689,9 +676,7 @@ def _values_prologue(
     if flt is not None:
         lows = storage.local_bounds()[0]
         counter.count_value(storage.dimensions)
-        if all(f <= lo for f, lo in zip(flt.values, lows)) and any(
-            f < lo for f, lo in zip(flt.values, lows)
-        ):
+        if dominates_values(flt.values, lows):
             return LocalSkylineResult(
                 skyline=empty, unreduced_size=0, skipped="dominated",
                 updated_filter=flt, comparisons=counter,
@@ -811,11 +796,9 @@ def _local_skyline_values_fast(
 
     if flt is not None and unreduced:
         counter.count_value(dims * unreduced)
-        fvals = np.asarray(flt.values, dtype=np.float64)[None, :]
-        wvals = values[window]
-        flt_dom = (fvals <= wvals).all(axis=1) & (fvals < wvals).any(axis=1)
-        same_site = (xy[window, 0] == flt.site.x) & (xy[window, 1] == flt.site.y)
-        survivors = window[~same_site & ~flt_dom]
+        survivors = window[
+            ~filter_prune_mask(flt, flt.values, values[window], xy[window])
+        ]
     else:
         survivors = window
 
@@ -951,14 +934,12 @@ def local_skyline_vectorized(
         if flt is not None
         else None
     )
-    skipped_dominated = False
-    if flt_norm is not None:
-        if (flt_norm <= lows).all() and (flt_norm < lows).any():
-            # The device would stop here after O(n) work (Figure 4); the
-            # unreduced skyline size is still computed below because the
-            # DRR metric (Formula 1) needs |SK_i| — the cost model keys
-            # on ``skipped`` and charges only the O(n) check.
-            skipped_dominated = True
+    # When the filter dominates the local lower bounds the device would
+    # stop here after O(n) work (Figure 4); the unreduced skyline size is
+    # still computed below because the DRR metric (Formula 1) needs
+    # |SK_i| — the cost model keys on ``skipped`` and charges only the
+    # O(n) check.
+    skipped_dominated = flt_norm is not None and dominates_values(flt_norm, lows)
 
     in_range = relation.within(query.pos, query.d)
     scoped = relation.take(np.nonzero(in_range)[0])
@@ -978,12 +959,8 @@ def local_skyline_vectorized(
         )
 
     if flt_norm is not None:
-        sky_norm = sky.normalized_values()
-        no_worse = (flt_norm[None, :] <= sky_norm).all(axis=1)
-        better = (flt_norm[None, :] < sky_norm).any(axis=1)
-        same_site = (sky.xy[:, 0] == flt.site.x) & (sky.xy[:, 1] == flt.site.y)
-        keep = ~((no_worse & better) | same_site)
-        sky = sky.take(np.nonzero(keep)[0])
+        pruned = filter_prune_mask(flt, flt_norm, sky.normalized_values(), sky.xy)
+        sky = sky.take(np.nonzero(~pruned)[0])
 
     local_highs = local_worst if estimation is Estimation.UNDER else None
     if sky.cardinality:

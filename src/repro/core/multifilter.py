@@ -26,10 +26,12 @@ import numpy as np
 
 from ..data.spatial import mindist_point_rect
 from ..storage.relation import Relation
+from .dominance import dominates_values
 from .filtering import (
     Estimation,
     FilteringTuple,
     estimation_bounds,
+    filter_prune_mask,
     normalize_values,
     select_filter_set,
     vdr,
@@ -69,17 +71,11 @@ def prune_with_filters(
     if skyline.cardinality == 0 or not filters:
         return skyline
     values = skyline.normalized_values()
-    schema = skyline.schema
-    dominated = np.zeros(skyline.cardinality, dtype=bool)
+    pruned = np.zeros(skyline.cardinality, dtype=bool)
     for flt in filters:
-        f = np.asarray(normalize_values(flt.values, schema), dtype=np.float64)
-        no_worse = (f[None, :] <= values).all(axis=1)
-        better = (f[None, :] < values).any(axis=1)
-        same_site = (skyline.xy[:, 0] == flt.site.x) & (
-            skyline.xy[:, 1] == flt.site.y
-        )
-        dominated |= (no_worse & better) | same_site
-    return skyline.take(np.nonzero(~dominated)[0])
+        f = normalize_values(flt.values, skyline.schema)
+        pruned |= filter_prune_mask(flt, f, values, skyline.xy)
+    return skyline.take(np.nonzero(~pruned)[0])
 
 
 def local_skyline_multifilter(
@@ -120,12 +116,10 @@ def local_skyline_multifilter(
     norm = relation.normalized_values()
     lows = norm.min(axis=0)
     local_worst = tuple(float(h) for h in norm.max(axis=0))
-    skipped_dominated = False
-    for flt in filters:
-        f = np.asarray(normalize_values(flt.values, schema), dtype=np.float64)
-        if (f <= lows).all() and (f < lows).any():
-            skipped_dominated = True
-            break
+    skipped_dominated = any(
+        dominates_values(normalize_values(flt.values, schema), lows)
+        for flt in filters
+    )
 
     in_range = relation.within(query.pos, query.d)
     scoped = relation.take(np.nonzero(in_range)[0])

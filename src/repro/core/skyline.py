@@ -11,6 +11,9 @@ These are the building blocks and baselines of the paper:
 * :func:`skyline_numpy` — a vectorised sorted-block engine used to keep the
   large simulation experiments tractable in Python.
 
+:func:`skyline_numpy` and the D&C merge run on the block kernels of
+:mod:`repro.core.dominance`; the other loops are oracles and do not.
+
 All functions take values **in minimization space** (smaller is better on
 every axis) and return sorted row indices of the skyline members. Use
 :func:`skyline_of_relation` for direction-aware operation on a
@@ -29,7 +32,12 @@ from typing import List, Optional
 import numpy as np
 
 from ..storage.relation import Relation
-from .dominance import ComparisonCounter
+from .dominance import (
+    ComparisonCounter,
+    dominance_matrix,
+    dominated_mask,
+    undominated_in_block,
+)
 
 __all__ = [
     "skyline_bruteforce",
@@ -134,21 +142,18 @@ def sfs_sort_order(values: np.ndarray) -> np.ndarray:
 def skyline_sfs(
     values: np.ndarray,
     counter: Optional[ComparisonCounter] = None,
-    presorted: bool = False,
 ) -> np.ndarray:
     """Sort-Filter-Skyline.
 
     After sorting by a monotone score, a single scan suffices: each tuple is
     compared against the (already confirmed) window; undominated tuples are
-    skyline members. ``presorted=True`` skips the sort for storage schemes
-    that maintain a sorted order (the paper's hybrid storage keeps the
-    relation sorted on its widest attribute, Section 4.2).
+    skyline members.
     """
     values = _as_matrix(values)
     n, dims = values.shape
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.arange(n, dtype=np.int64) if presorted else sfs_sort_order(values)
+    order = sfs_sort_order(values)
     window: List[int] = []
     for idx in order:
         v = values[idx]
@@ -200,26 +205,19 @@ def _dc_recurse(
     high = _dc_recurse(values, indices[~low_mask], threshold)
     if low.shape[0] == 0:
         return high
-    keep_high = []
-    low_vals = values[low]
-    for idx in high:
-        v = values[idx]
-        no_worse = (low_vals <= v[None, :]).all(axis=1)
-        better = (low_vals < v[None, :]).any(axis=1)
-        if not (no_worse & better).any():
-            keep_high.append(idx)
-    return np.concatenate([low, np.asarray(keep_high, dtype=np.int64)])
+    return np.concatenate([low, high[~dominated_mask(values[low], values[high])]])
 
 
 def skyline_numpy(values: np.ndarray, block: int = 256) -> np.ndarray:
     """Vectorised sorted-block skyline — the fast engine.
 
     Tuples are scanned in SFS order in blocks; each block is first reduced
-    against the confirmed skyline with one broadcast comparison, then the
-    survivors are resolved within the block. Output matches the other
-    algorithms exactly; the only difference is wall-clock speed, which is
-    what makes anti-correlated workloads (large skylines) tractable for
-    the simulation experiments.
+    against the confirmed skyline, one dominance matrix per earlier block,
+    then its survivors are resolved with one in-block matrix
+    (:func:`~repro.core.dominance.undominated_in_block`). Output matches
+    the other algorithms exactly; the only difference is wall-clock speed,
+    which is what makes anti-correlated workloads (large skylines)
+    tractable for the simulation experiments.
     """
     values = _as_matrix(values)
     n = values.shape[0]
@@ -238,26 +236,13 @@ def skyline_numpy(values: np.ndarray, block: int = 256) -> np.ndarray:
         chunk = values[chunk_idx]
         if sky_blocks:
             dominated = np.zeros(chunk.shape[0], dtype=bool)
-            dims = chunk.shape[1]
             for blk in sky_blocks:
-                # Does any confirmed skyline row in this block dominate
-                # each chunk row? Compared attribute-at-a-time with 2-D
-                # broadcasts — the equivalent (S_b, C, d) broadcast
-                # forces numpy onto a strided inner loop that is an
-                # order of magnitude slower here.
-                no_worse = blk[:, 0:1] <= chunk[:, 0]
-                better = blk[:, 0:1] < chunk[:, 0]
-                for a in range(1, dims):
-                    no_worse &= blk[:, a : a + 1] <= chunk[:, a]
-                    better |= blk[:, a : a + 1] < chunk[:, a]
-                dominated |= (no_worse & better).any(axis=0)
+                dominated |= dominance_matrix(blk, chunk).any(axis=0)
             chunk_idx = chunk_idx[~dominated]
             chunk = chunk[~dominated]
         if chunk.shape[0] == 0:
             continue
-        # Resolve dominance within the chunk (scan order is SFS order, so
-        # only earlier rows can dominate later ones).
-        local = skyline_sfs(chunk, presorted=True)
+        local = undominated_in_block(chunk)
         chunk_idx = chunk_idx[local]
         chunk = chunk[local]
         sky_idx.append(chunk_idx)

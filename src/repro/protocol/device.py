@@ -24,12 +24,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..core.assembly import (
-    ASSEMBLERS,
-    DEFAULT_MERGE_BLOCK,
-    SkylineAssembler,
-    merge_skylines,
-)
+from ..core.assembly import ASSEMBLERS, SkylineAssembler, merge_skylines
+from ..core.dominance import DEFAULT_BLOCK
 from ..core.filtering import Estimation, FilteringTuple, select_filter
 from ..core.local import (
     LOCAL_PATHS,
@@ -130,8 +126,9 @@ class ProtocolConfig:
             completion reports. Defaults are inert: a default policy
             reproduces the pre-resilience protocol bit for bit.
         assembler: ``incremental`` (default) merges partial skylines via
-            the running-array assembler and tiled dominance passes of
-            edge :data:`~repro.core.assembly.DEFAULT_MERGE_BLOCK`;
+            the running-array assembler and the tiled
+            :func:`~repro.core.dominance.dominated_mask` kernel, of edge
+            :data:`~repro.core.dominance.DEFAULT_BLOCK`;
             ``legacy`` rebuilds a relation per contribution with one
             unbounded broadcast — the oracle the differential tests
             compare against. Results are bit-identical.
@@ -515,7 +512,7 @@ class SkylineDevice(Node):
     def _merge_partials(self, current: Relation, incoming: Relation) -> Relation:
         """Merge two partial skylines per ``config.assembler``."""
         legacy = self.config.assembler == "legacy"
-        block = None if legacy else DEFAULT_MERGE_BLOCK
+        block = None if legacy else DEFAULT_BLOCK
         return merge_skylines(current, incoming, block=block)
 
     def processing_delay(self, result: LocalSkylineResult) -> float:

@@ -25,6 +25,7 @@ from ..core.filtering import (
     Estimation,
     FilteringTuple,
     estimation_bounds,
+    filter_prune_mask,
     normalize_values,
     select_filter,
     vdr,
@@ -91,15 +92,11 @@ class StaticGridCache:
         unreduced = sky.cardinality
         if flt is None or unreduced == 0:
             return sky, unreduced
-        fvals = np.asarray(
-            normalize_values(flt.values, self.dataset.schema), dtype=np.float64
+        pruned = filter_prune_mask(
+            flt, normalize_values(flt.values, self.dataset.schema),
+            sky.normalized_values(), sky.xy,
         )
-        sky_norm = sky.normalized_values()
-        no_worse = (fvals[None, :] <= sky_norm).all(axis=1)
-        better = (fvals[None, :] < sky_norm).any(axis=1)
-        same_site = (sky.xy[:, 0] == flt.site.x) & (sky.xy[:, 1] == flt.site.y)
-        keep = ~((no_worse & better) | same_site)
-        return sky.take(np.nonzero(keep)[0]), unreduced
+        return sky.take(np.nonzero(~pruned)[0]), unreduced
 
     def promote(
         self,

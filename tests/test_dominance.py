@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ComparisonCounter,
-    any_dominator,
     dominance_mask,
     dominates_or_equal,
     dominates_values,
@@ -103,12 +102,6 @@ class TestVectorised:
     def test_dominance_mask_shape_check(self):
         with pytest.raises(ValueError, match="shape"):
             dominance_mask(np.zeros(3), np.zeros((4, 2)))
-
-    def test_any_dominator(self):
-        point = np.array([2.0, 2.0])
-        assert any_dominator(point, np.array([[1.0, 1.0]]))
-        assert not any_dominator(point, np.array([[3.0, 1.0]]))
-        assert not any_dominator(point, np.empty((0, 2)))
 
     @given(pair_of_vectors)
     def test_mask_matches_scalar(self, pair):
