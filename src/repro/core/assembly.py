@@ -14,9 +14,11 @@ Two execution paths produce bit-identical results:
   maintains a running ``(xy, values, site_ids)`` array triple plus its
   normalization, eliminates duplicates against a persistent location
   set (one hash lookup per incoming row instead of rebuilding the set
-  per merge), and resolves dominance with the tiled
-  :func:`~repro.core.dominance.dominated_mask` kernel so peak memory is
-  bounded regardless of skyline size;
+  per merge), and resolves dominance in both directions with one call
+  to the tiled :func:`~repro.core.dominance.dominated_both_ways` kernel
+  per contribution, so peak memory is bounded regardless of skyline
+  size. :func:`merge_skylines` (the depth-first per-hop merge) does the
+  same with one sort-based duplicate pass instead of the location set;
 * the **legacy** path (:func:`merge_skylines` with ``block=None`` and
   :class:`SkylineAssembler` in ``mode="legacy"``) rebuilds a
   :class:`~repro.storage.relation.Relation` per contribution with one
@@ -24,8 +26,9 @@ Two execution paths produce bit-identical results:
   tests and the ``bench_query`` / ``bench_merge`` ratio gates compare
   against, selected only by explicit argument.
 
-``tests/test_fast_path_parity.py`` and ``tests/test_merge_partition.py``
-pin the two paths to each other bit for bit.
+``tests/test_fast_path_parity.py``, ``tests/test_merge_partition.py``
+and ``tests/test_kernels.py`` pin the two paths to each other bit for
+bit.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from ..storage.relation import Relation
 from ..storage.schema import RelationSchema
-from .dominance import DEFAULT_BLOCK, dominated_mask
+from .dominance import DEFAULT_BLOCK, dominated_both_ways, dominated_mask
 
 __all__ = [
     "merge_skylines",
@@ -76,12 +79,19 @@ def merge_skylines(
     """Merge an incoming partial skyline into the current one.
 
     Args:
-        current: The running merged skyline (internally dominance-free).
-        incoming: A reduced local skyline ``SK'_i`` (also internally
-            dominance-free, as local skylines are).
-        block: Chunk edge for the blocked dominance pass; ``None`` uses
-            one unbounded broadcast (the legacy reference path). Output
-            is bit-identical either way.
+        current: The running merged skyline. Precondition: it is
+            dominance-free. The production path lets every new incoming
+            row evict ``current`` rows, which is exact only because an
+            incoming row that ``current`` dominates cannot dominate a
+            ``current`` row (transitivity).
+        incoming: A reduced local skyline ``SK'_i``. Its rows at
+            locations already seen (in ``current`` or earlier in
+            ``incoming``) are removed before any dominance test, so a
+            same-location row with different values never evicts.
+        block: Chunk edge for the blocked dominance pass; ``None`` runs
+            the legacy reference path (one unbounded broadcast per
+            direction, ``np.unique`` and a location set). Output is
+            bit-identical either way.
 
     Returns:
         The updated skyline: duplicates dropped (first copy wins),
@@ -91,6 +101,25 @@ def merge_skylines(
         raise ValueError("cannot merge skylines over different schemas")
     if incoming.cardinality == 0:
         return current
+    if block is None:
+        return _merge_reference(current, incoming)
+    if current.cardinality == 0:
+        return _first_copies(incoming)
+    keep_incoming = _new_locations(current.xy, incoming.xy)
+
+    cur_dominated, inc_dominated = dominated_both_ways(
+        current.normalized_values(),
+        incoming.normalized_values()[keep_incoming],
+        block,
+    )
+    keep_incoming[keep_incoming] = ~inc_dominated
+    keep_current = ~cur_dominated
+    return _stack(current, keep_current, incoming, keep_incoming)
+
+
+def _merge_reference(current: Relation, incoming: Relation) -> Relation:
+    """The legacy merge: the oracle :func:`merge_skylines` is tested
+    against, selected by ``block=None``."""
     if current.cardinality == 0:
         return _dedup_within(incoming)
     incoming = _dedup_within(incoming)
@@ -104,22 +133,60 @@ def merge_skylines(
     # a dominates b: a <= b everywhere, a < b somewhere (minimization
     # space). Incoming tuples are tested against the *pre-merge* current
     # set and vice versa, exactly as the nested loop of the paper does.
-    inc_dominated = _dominated_by(cur_vals, inc_vals, block)
+    inc_dominated = _dominated_by(cur_vals, inc_vals, None)
     keep_incoming = ~(inc_dominated | dup_incoming)
     # Only non-duplicate incoming survivors may evict current members —
     # a duplicate carries no new information, and a dominated incoming
     # tuple cannot dominate anything the current set keeps.
-    cur_dominated = _dominated_by(inc_vals[keep_incoming], cur_vals, block)
-    keep_current = ~cur_dominated
+    cur_dominated = _dominated_by(inc_vals[keep_incoming], cur_vals, None)
+    return _stack(current, ~cur_dominated, incoming, keep_incoming)
 
-    merged_xy = np.vstack([current.xy[keep_current], incoming.xy[keep_incoming]])
-    merged_vals = np.vstack(
-        [current.values[keep_current], incoming.values[keep_incoming]]
+
+def _stack(
+    current: Relation,
+    keep_current: np.ndarray,
+    incoming: Relation,
+    keep_incoming: np.ndarray,
+) -> Relation:
+    """The kept ``current`` rows followed by the kept ``incoming`` rows."""
+    return Relation._wrap(
+        current.schema,
+        np.vstack([current.xy[keep_current], incoming.xy[keep_incoming]]),
+        np.vstack([current.values[keep_current], incoming.values[keep_incoming]]),
+        np.concatenate(
+            [current.site_ids[keep_current], incoming.site_ids[keep_incoming]]
+        ),
     )
-    merged_ids = np.concatenate(
-        [current.site_ids[keep_current], incoming.site_ids[keep_incoming]]
-    )
-    return Relation._wrap(current.schema, merged_xy, merged_vals, merged_ids)
+
+
+def _new_locations(seen: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """Mask over ``xy`` rows whose exact location appears neither in
+    ``seen`` nor earlier in ``xy`` — first copy wins.
+
+    One stable sort of both coordinate sets puts equal locations next
+    to each other in input order, so a row is a copy iff it equals its
+    predecessor. Each ``(x, y)`` row is viewed as one complex number,
+    whose sort order is ``x`` then ``y``: a single sort key instead of a
+    two-key lexsort. Float comparison equates ``-0.0`` and ``0.0``,
+    exactly as the reference's location set does.
+    """
+    both = np.concatenate([seen, xy])
+    keys = both.view(np.complex128)[:, 0]
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    copy = np.empty(keys.shape[0], dtype=bool)
+    copy[order[:1]] = False
+    copy[order[1:]] = ranked[1:] == ranked[:-1]
+    return ~copy[seen.shape[0]:]
+
+
+def _first_copies(relation: Relation) -> Relation:
+    """``relation`` without its same-location duplicates (first copy
+    wins); ``relation`` itself when it has none."""
+    keep = _new_locations(relation.xy[:0], relation.xy)
+    if keep.all():
+        return relation
+    return relation.take(np.flatnonzero(keep))
 
 
 def _duplicate_mask(xy: np.ndarray, against: np.ndarray) -> np.ndarray:
@@ -155,6 +222,8 @@ class SkylineAssembler:
     Args:
         schema: The shared relation schema.
         initial: The originator's own local skyline (optional seed).
+            Precondition: dominance-free, as every skyline is; the
+            incremental merge relies on it (see :meth:`_add_incremental`).
         mode: ``"incremental"`` (default) or ``"legacy"`` (the oracle);
             both produce bit-identical results.
         block: Chunk edge for the blocked dominance pass. Ignored in
@@ -179,12 +248,12 @@ class SkylineAssembler:
         self._block = block
         self._schema = schema
         self._merges = 0
-        seed = (
-            _dedup_within(initial) if initial is not None else Relation.empty(schema)
-        )
+        if initial is None:
+            initial = Relation.empty(schema)
         if mode == "legacy":
-            self._current = seed
+            self._current = _dedup_within(initial)
             return
+        seed = _first_copies(initial)
         self._coords: set = set(map(tuple, seed.xy.tolist()))
         self._result_cache: Optional[Relation] = seed
         self._xy = seed.xy
@@ -207,30 +276,38 @@ class SkylineAssembler:
         return self._mode
 
     def _add_incremental(self, incoming: Relation) -> None:
-        inc_xy = incoming.xy
-        inc_norm = incoming.normalized_values()
-        n_inc = incoming.cardinality
+        """Merge one contribution into the running arrays.
 
+        Precondition: the running result is dominance-free (the seed is
+        a skyline, and every merge keeps it one). Duplicates are dropped
+        first, then one two-way dominance pass over the new rows decides
+        both sides: a new row the running result dominates cannot
+        dominate a running row, so every new row may evict.
+        """
+        inc_xy = incoming.xy
         # Duplicate elimination in one pass: against the persistent
         # location set (O(1) lookups instead of rebuilding the set per
         # merge) and within the contribution itself (first copy wins).
         coords = self._coords
         keys = list(map(tuple, inc_xy.tolist()))
-        keep_incoming = np.zeros(n_inc, dtype=bool)
+        fresh = []
         within: set = set()
         for i, key in enumerate(keys):
             if key not in coords and key not in within:
-                keep_incoming[i] = True
+                fresh.append(i)
                 within.add(key)
-
-        # Which incoming rows does the (pre-merge) current set dominate?
-        keep_incoming &= ~_dominated_by(self._norm, inc_norm, self._block)
-        if not keep_incoming.any():
+        if not fresh:
             return
+        kept = np.asarray(fresh, dtype=np.int64)
+        kept_norm = incoming.normalized_values()[kept]
 
-        # Which current rows do the surviving incoming rows dominate?
-        kept_norm = inc_norm[keep_incoming]
-        cur_dominated = _dominated_by(kept_norm, self._norm, self._block)
+        cur_dominated, inc_dominated = dominated_both_ways(
+            self._norm, kept_norm, self._block
+        )
+        if inc_dominated.all():
+            return
+        kept = kept[~inc_dominated]
+        kept_norm = kept_norm[~inc_dominated]
         if cur_dominated.any():
             keep = ~cur_dominated
             coords.difference_update(
@@ -241,17 +318,13 @@ class SkylineAssembler:
             self._site_ids = self._site_ids[keep]
             self._norm = self._norm[keep]
 
-        self._xy = np.vstack([self._xy, inc_xy[keep_incoming]])
-        self._values = np.vstack(
-            [self._values, incoming.values[keep_incoming]]
-        )
+        self._xy = np.vstack([self._xy, inc_xy[kept]])
+        self._values = np.vstack([self._values, incoming.values[kept]])
         self._site_ids = np.concatenate(
-            [self._site_ids, incoming.site_ids[keep_incoming]]
+            [self._site_ids, incoming.site_ids[kept]]
         )
         self._norm = np.vstack([self._norm, kept_norm])
-        coords.update(
-            key for i, key in enumerate(keys) if keep_incoming[i]
-        )
+        coords.update(keys[i] for i in kept.tolist())
 
     def add(self, incoming: Relation) -> None:
         """Merge one incoming partial skyline."""

@@ -7,7 +7,9 @@ generator-based processes that ``yield`` delays.
 
 Determinism: events fire in ``(time, sequence)`` order, where the
 sequence number is assigned at scheduling time, so two runs with the same
-seed replay identically.
+seed replay identically. The heap holds ``(time, seq, handle)`` entries:
+``seq`` is unique, so tuple comparison never reaches the handle and the
+heap orders events without calling back into Python.
 """
 
 from __future__ import annotations
@@ -48,9 +50,6 @@ class EventHandle:
         if self._sim is not None:
             self._sim._live -= 1
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Simulator:
     """The event loop.
@@ -64,7 +63,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: List[EventHandle] = []
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._events_fired = 0
         self._live = 0
@@ -95,7 +94,7 @@ class Simulator:
     def _live_pending_scan(self) -> int:
         """O(heap) reference count of live queued events — the ground
         truth the counter is unit-tested against."""
-        return sum(1 for h in self._heap if not h.cancelled)
+        return sum(1 for _, _, h in self._heap if not h.cancelled)
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -103,8 +102,10 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        handle = EventHandle(self._now + delay, next(self._seq), callback, args, self)
-        heapq.heappush(self._heap, handle)
+        time = self._now + delay
+        seq = next(self._seq)
+        handle = EventHandle(time, seq, callback, args, self)
+        heapq.heappush(self._heap, (time, seq, handle))
         self._live += 1
         return handle
 
@@ -133,16 +134,17 @@ class Simulator:
         (live events still due) leaves ``now`` at the last fired event.
         """
         fired = 0
-        while self._heap:
-            head = self._heap[0]
+        heap = self._heap
+        while heap:
+            head = heap[0][2]
             if head.cancelled:
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 continue
             if max_events is not None and fired >= max_events:
                 break
             if until is not None and head.time > until:
                 break
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
             # Mark consumed before firing: a cancel() from inside the
             # callback (or any later one) is a no-op, and the live
             # counter is decremented exactly once per event.
@@ -155,14 +157,14 @@ class Simulator:
         if (
             until is not None
             and self._now < until
-            and (not self._heap or self._heap[0].time > until)
+            and (not self._heap or self._heap[0][0] > until)
         ):
             self._now = until
 
     def step(self) -> bool:
         """Execute exactly one event; return False if the queue is empty."""
         while self._heap:
-            head = heapq.heappop(self._heap)
+            _, _, head = heapq.heappop(self._heap)
             if head.cancelled:
                 continue
             head.cancelled = True

@@ -37,6 +37,13 @@ class MobilityModel(abc.ABC):
     """Answers "where is node i at time t" for every node."""
 
     @property
+    def moves(self) -> bool:
+        """Whether positions can change over time. A model that answers
+        False lets the world's neighbour index drop time from its cache
+        keys (see :mod:`repro.net.spatial_index`)."""
+        return True
+
+    @property
     @abc.abstractmethod
     def node_count(self) -> int:
         """Number of nodes the model tracks."""
@@ -62,6 +69,10 @@ class StaticPlacement(MobilityModel):
             (float(x), float(y)) for x, y in positions
         ]
         self._array = np.array(self._positions, dtype=np.float64)
+
+    @property
+    def moves(self) -> bool:
+        return False
 
     @property
     def node_count(self) -> int:

@@ -29,7 +29,11 @@ module memoises the answer per simulation time:
 * **Epoch layer** — fault state (crashed nodes, link blackouts) and
   topology changes (late ``attach``) bump a generation counter; the
   adjacency cache is keyed on ``(sim.now, epoch, radio_range)`` so fault
-  injection can never be served a stale connectivity answer.
+  injection can never be served a stale connectivity answer. When the
+  mobility model does not move (:attr:`MobilityModel.moves
+  <repro.net.mobility.MobilityModel.moves>` is False) time drops out of
+  both keys: positions are swept once, and adjacency is rebuilt once
+  plus once per epoch bump.
 
 Determinism contract: neighbor lists are sorted by node id, so BFS
 order, broadcast delivery order, and therefore event sequence numbers
@@ -92,6 +96,7 @@ class NeighborIndex:
 
     def __init__(self, world: "World") -> None:
         self._world = world
+        self._moves = world.mobility.moves
         self._epoch = 0
         self._rebuilds = 0
         # position layer, keyed by simulation time only (mobility does
@@ -99,7 +104,7 @@ class NeighborIndex:
         self._pos_time: Optional[float] = None
         self._pos: Optional[np.ndarray] = None
         # adjacency layer, keyed by (time, epoch, radio range)
-        self._adj_key: Optional[Tuple[float, int, float]] = None
+        self._adj_key: Optional[Tuple[Optional[float], int, float]] = None
         # CSR adjacency in index space over the sorted attached-id
         # array, plus lazily materialised lists
         self._ids: Optional[np.ndarray] = None
@@ -111,7 +116,7 @@ class NeighborIndex:
         self._eff_edges: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._eff_lists: Dict[int, List[int]] = {}
         # lazy row cache
-        self._row_key: Optional[Tuple[float, int, float]] = None
+        self._row_key: Optional[Tuple[Optional[float], int, float]] = None
         self._rows: Dict[int, List[int]] = {}
 
     # -- invalidation -------------------------------------------------------
@@ -137,15 +142,21 @@ class NeighborIndex:
 
     # -- position layer -----------------------------------------------------
 
+    def _time_key(self) -> Optional[float]:
+        """The simulation time for a moving model; ``None`` for a static
+        one, whose positions and adjacency never depend on time."""
+        return self._world.sim.now if self._moves else None
+
     def positions(self) -> np.ndarray:
         """All node positions at the current simulation time.
 
-        One vectorised mobility sweep per distinct time; the returned
-        array is the cache itself — treat it as read-only.
+        One vectorised mobility sweep per distinct time (one in all for
+        a static model); the returned array is the cache itself — treat
+        it as read-only.
         """
-        t = self._world.sim.now
+        t = self._time_key()
         if self._pos_time != t or self._pos is None:
-            self._pos = self._world.mobility.positions(t)
+            self._pos = self._world.mobility.positions(self._world.sim.now)
             self._pos_time = t
         return self._pos
 
@@ -158,17 +169,15 @@ class NeighborIndex:
         sweep. Scalar and vectorised lookups yield identical float64
         values, so answers never depend on which path served them.
         """
-        t = self._world.sim.now
-        if self._pos_time == t and self._pos is not None:
+        if self._pos_time == self._time_key() and self._pos is not None:
             row = self._pos[node]
             return (float(row[0]), float(row[1]))
-        return self._world.mobility.position(node, t)
+        return self._world.mobility.position(node, self._world.sim.now)
 
     # -- adjacency layer ----------------------------------------------------
 
-    def _key(self) -> Tuple[float, int, float]:
-        world = self._world
-        return (world.sim.now, self._epoch, world.radio.radio_range)
+    def _key(self) -> Tuple[Optional[float], int, float]:
+        return (self._time_key(), self._epoch, self._world.radio.radio_range)
 
     def neighbors(self, node: int) -> List[int]:
         """Fault-aware neighbor ids of ``node``, sorted ascending.
@@ -299,7 +308,7 @@ class NeighborIndex:
             self._eff_lists[node] = lst
         return lst
 
-    def _build(self, key: Tuple[float, int, float]) -> None:
+    def _build(self, key: Tuple[Optional[float], int, float]) -> None:
         """Full build: CSR adjacency plus the undirected edge list."""
         n = len(self._ids_array())
         a, b = self._effective_pairs() if n else (_EMPTY_I64, _EMPTY_I64)

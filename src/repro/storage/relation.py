@@ -142,11 +142,13 @@ class Relation:
 
     @classmethod
     def empty(cls, schema: RelationSchema) -> "Relation":
-        """An empty relation over ``schema``."""
-        return cls(
+        """An empty relation over ``schema`` (no rows to validate, so it
+        skips the validating constructor)."""
+        return cls._wrap(
             schema,
             np.empty((0, 2), dtype=np.float64),
             np.empty((0, schema.dimensions), dtype=np.float64),
+            np.empty(0, dtype=np.int64),
         )
 
     # -- basic accessors -----------------------------------------------------

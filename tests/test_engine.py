@@ -24,6 +24,19 @@ class TestScheduling:
         sim.run()
         assert fired == [0, 1, 2, 3, 4]
 
+    def test_simultaneous_events_never_compare_handles(self):
+        """Heap entries are ``(time, seq, handle)``: the unique ``seq``
+        settles every tie, so handles carry no ordering of their own."""
+        sim = Simulator()
+        fired = []
+        handles = [sim.schedule(1.0, fired.append, tag) for tag in range(6)]
+        with pytest.raises(TypeError):
+            handles[0] < handles[1]
+        handles[2].cancel()
+        assert sim.step()
+        sim.run()
+        assert fired == [0, 1, 3, 4, 5]
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Simulator().schedule(-0.1, lambda: None)

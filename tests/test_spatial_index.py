@@ -20,6 +20,7 @@ from repro.net import (
     StaticPlacement,
     World,
 )
+from repro.continuous.runner import grid_placement
 from repro.net.reference import ReferenceWorld, ScalarWorld
 
 
@@ -209,6 +210,47 @@ class TestCacheBehaviour:
         world.radio = RadioConfig(radio_range=600.0)
         dense = {i: world.neighbors(i) for i in world.node_ids}
         assert any(len(dense[i]) > len(sparse[i]) for i in world.node_ids)
+        assert_world_agrees(world)
+
+
+class TestStaticTopology:
+    """A model that does not move drops time from the index keys: one
+    build serves the whole run until a fault transition bumps the epoch."""
+
+    def test_moves_flag(self):
+        static = StaticPlacement([(0, 0)])
+        assert static.moves is False
+        assert RandomWaypoint(node_count=2, extent=(0, 0, 9, 9), seed=0).moves
+        with pytest.raises(AttributeError):
+            static.moves = True
+
+    def test_static_run_rebuilds_once_plus_once_per_fault_transition(self):
+        sim = Simulator()
+        world = World(sim, grid_placement(16), RadioConfig(radio_range=250.0))
+        for i in range(16):
+            Recorder(world, i)
+        seen = {}
+
+        def probe():
+            seen[sim.now] = {i: world.neighbors(i) for i in world.node_ids}
+            world.reachable_from(0)
+
+        for t in np.linspace(0.0, 300.0, 61):
+            sim.schedule_at(float(t), probe)
+        sim.schedule_at(152.5, world.fail_node, 5)
+        sim.schedule_at(227.5, world.restore_node, 5)
+        sim.schedule_at(252.5, world.set_link_blackout, 4, 5, True)
+        sim.run(until=100.0)
+        assert world._index.rebuilds == 1
+        assert world.positions() is world.positions()
+        sim.run()
+        assert world._index.rebuilds == 4
+        # The mid-run crash still changes neighbour lists, and the
+        # recovery and blackout are seen too.
+        assert 5 in seen[150.0][4]
+        assert seen[155.0][5] == [] and 5 not in seen[155.0][4]
+        assert 5 in seen[230.0][4]
+        assert 5 not in seen[255.0][4] and 4 not in seen[255.0][5]
         assert_world_agrees(world)
 
 
